@@ -5,6 +5,11 @@ Every run i draws from its own counter-based stream keyed by
 bit-reproducible whatever the chunking or worker count.  Chunks of runs are
 stepped together with vectorized state updates; the reducer assembles
 per-checkpoint samples in run order.
+
+Uniforms are drawn in time blocks of _TIME_BLOCK per run, a multiple of 4.
+Between blocks a run's Philox4x64 state is therefore just (key, counter =
+draws / 4) with an empty output buffer, so streams are resumed by writing
+that state, never by saving and restoring one per run.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .limits import limit_moments
 from .oracle import exact_mean_nonzeros, exact_moments_increasing
-from .walk import MemorySchedule, WalkParams, _cut_points, make_run_stream
+from .walk import MemorySchedule, WalkParams, _cut_points
 
 __all__ = [
     "EnsembleConfig",
@@ -43,6 +48,12 @@ DEFAULT_MAX_STEPS = 5_000_000_000
 _I8_PLUS = np.int8(1)
 _I8_ZERO = np.int8(0)
 _I8_MINUS = np.int8(-1)
+
+# Uniforms drawn per run per stream fill.  _ChunkStreams resumes a stream at
+# counter draws / 4, so every fill but the last must draw a multiple of 4.
+_TIME_BLOCK = 2048
+if _TIME_BLOCK % 4:
+    raise ValueError(f"_TIME_BLOCK must be a multiple of 4, got {_TIME_BLOCK}")
 
 
 class BudgetError(RuntimeError):
@@ -117,44 +128,51 @@ def make_geometric_grid(n_max: int, points: int = 8) -> tuple[int, ...]:
 class _ChunkStreams:
     """Per-run Philox streams served through one template bit generator.
 
-    Each run's stream is keyed by (master_seed, run_index) with the counter
-    starting at zero, exactly as make_run_stream builds it; injecting the key
-    into a shared template skips the per-object construction cost.  For
-    horizons longer than one time block the per-run states are saved between
-    fills so streams continue where they left off.
+    Run j's stream is Philox4x64 keyed by (master_seed, run_lo + j) with the
+    counter starting at zero, exactly as make_run_stream builds it.  Each
+    counter value yields four 64-bit outputs and random() takes one per
+    double, so after d draws, with d a multiple of 4, a stream's whole state
+    is (key, counter = d / 4) with its output buffer used up.  Every fill
+    therefore starts from a state written directly into the shared template:
+    nothing is read back and no per-run state is kept between fills.  That
+    needs every fill but the last to draw a multiple of 4 uniforms; a fill
+    that would resume mid-buffer is refused.
     """
 
     _MASK = 0xFFFFFFFFFFFFFFFF
 
-    def __init__(self, master_seed: int, run_lo: int, count: int, multi_block: bool):
+    def __init__(self, master_seed: int, run_lo: int):
         self._tmpl = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         self._gen = np.random.Generator(self._tmpl)
-        self._ms = master_seed & self._MASK
         self._lo = run_lo
-        self._count = count
-        self._states: Optional[list] = [None] * count if multi_block else None
-
-    def _fresh(self, j: int) -> dict:
-        st = self._tmpl.state
-        st["state"]["key"][0] = self._ms
-        st["state"]["key"][1] = (self._lo + j) & self._MASK
-        st["state"]["counter"][:] = 0
-        st["buffer_pos"] = 4
-        return st
+        self._drawn = 0
+        # one reusable state of plain ints: the setter copies it in, and
+        # reads of list items are cheaper than of numpy arrays
+        self._key = [master_seed & self._MASK, 0]
+        self._counter = [0, 0, 0, 0]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter, "key": self._key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def fill(self, out: np.ndarray, nb: int) -> None:
         """Fill out[j, :nb] with the next nb uniforms of each run j."""
-        tmpl, gen = self._tmpl, self._gen
-        if self._states is None:
-            for j in range(self._count):
-                tmpl.state = self._fresh(j)
-                out[j, :nb] = gen.random(nb)
-        else:
-            for j in range(self._count):
-                st = self._states[j]
-                tmpl.state = self._fresh(j) if st is None else st
-                out[j, :nb] = gen.random(nb)
-                self._states[j] = tmpl.state
+        if self._drawn % 4:
+            raise ValueError(
+                f"cannot resume Philox streams after {self._drawn} draws: "
+                "only a multiple of 4 leaves the output buffer empty")
+        self._counter[0] = self._drawn // 4
+        tmpl, random, state, key = self._tmpl, self._gen.random, self._state, self._key
+        lo, mask = self._lo, self._MASK
+        for j, row in enumerate(out[:, :nb]):
+            key[1] = (lo + j) & mask
+            tmpl.state = state
+            random(out=row)
+        self._drawn += nb
 
 
 def _simulate_chunk(
@@ -164,7 +182,6 @@ def _simulate_chunk(
     master_seed: int,
     run_lo: int,
     run_hi: int,
-    time_block: int = 2048,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Simulate runs [run_lo, run_hi); returns {checkpoint: (S, N*)} arrays."""
     n_max = grid[-1]
@@ -172,7 +189,7 @@ def _simulate_chunk(
     p, q, r = params.p, params.q, params.r
     a, w = p - q, p + q
     t1f, t2f = params.first_step_thresholds()
-    streams = _ChunkStreams(master_seed, run_lo, count, multi_block=n_max > time_block)
+    streams = _ChunkStreams(master_seed, run_lo)
     S = np.zeros(count, dtype=np.int64)
     nstar = np.zeros(count, dtype=np.int64)
     grid_set = set(grid)
@@ -205,10 +222,10 @@ def _simulate_chunk(
             bsize = 0
 
     can_freeze = variant in ("first-fixed", "first-increasing")
-    uniforms = np.empty((count, min(time_block, n_max)), dtype=np.float64)
+    uniforms = np.empty((count, min(_TIME_BLOCK, n_max)), dtype=np.float64)
     done = 0
     while done < n_max:
-        nb = min(time_block, n_max - done)
+        nb = min(_TIME_BLOCK, n_max - done)
         streams.fill(uniforms, nb)
         if can_freeze and done >= 1 and schedule.block_size(done) == m_max:
             # block complete: per-run thresholds are constant, so the whole

@@ -114,7 +114,11 @@ def classify_regime(params: WalkParams) -> RegimeReport:
 
 
 def _superdiffusive_L_moments(params: WalkParams) -> tuple[float, float]:
-    """(E L, Var L) for the almost-sure limit L of S_m / m^drift, drift > 1/2."""
+    """(E L, Var L) for the almost-sure limit L of S_m / m^drift, drift > 1/2.
+
+    For the two-valued walk E L = (2s - 1) / Gamma(2p) follows the first step,
+    while E L^2 = 1 / ((4p - 3) Gamma(2a)) does not depend on it.
+    """
     a = params.drift
     if params.delayed:
         mean = a / math.gamma(1.0 + a)
@@ -122,9 +126,10 @@ def _superdiffusive_L_moments(params: WalkParams) -> tuple[float, float]:
                - a * a / math.gamma(1.0 + a) ** 2)
     else:
         p = params.p
-        mean = a / math.gamma(2.0 * p)
+        first = a if params.s == p else 2.0 * params.s - 1.0  # E X_1
+        mean = first / math.gamma(2.0 * p)
         var = (1.0 / ((4.0 * p - 3.0) * math.gamma(2.0 * a))
-               - a * a / math.gamma(2.0 * p) ** 2)
+               - first * first / math.gamma(2.0 * p) ** 2)
     return mean, var
 
 

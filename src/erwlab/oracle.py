@@ -109,22 +109,26 @@ def gamma_ratio(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def exact_moments_full(p: float, m: int) -> tuple[float, float]:
+def exact_moments_full(p: float, m: int, s: Optional[float] = None) -> tuple[float, float]:
     """(E S_m, E S_m^2) for the full-memory two-valued walk, any m.
 
-    E S_m = (2p - 1) Gamma(m + 2p - 1) / (Gamma(m) Gamma(2p)), evaluated in
+    The first step is +1 with probability s (p when omitted), and
+    E S_m = (2s - 1) Gamma(m + 2p - 1) / (Gamma(m) Gamma(2p)), evaluated in
     log space; the second moment follows the one-step recursion
-    E S_{k+1}^2 = E S_k^2 (1 + 2(2p - 1)/k) + 1 from E S_1^2 = 1.
+    E S_{k+1}^2 = E S_k^2 (1 + 2(2p - 1)/k) + 1 from E S_1^2 = 1, whatever s.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"need 0 < p < 1, got {p}")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
+    if s is not None and not 0.0 <= s <= 1.0:
+        raise ValueError(f"need 0 <= s <= 1, got {s}")
     a = 2.0 * p - 1.0
+    first = a if s is None else 2.0 * s - 1.0  # E X_1
     if a == 0.0:
-        mean = 0.0
+        mean = first
     else:
-        mean = a * math.exp(log_gamma_ratio(m + a, float(m)) - math.lgamma(2.0 * p))
+        mean = first * math.exp(log_gamma_ratio(m + a, float(m)) - math.lgamma(2.0 * p))
     second = 1.0
     for k in range(1, m):
         second = second * (1.0 + 2.0 * a / k) + 1.0
@@ -184,9 +188,9 @@ def exact_moments_increasing(
                   + (n - m) * (p + q)
 
     with a = p - q (= 2p - 1 when r = 0).  The block moments at time m come
-    from exact_moments_full or its delayed analogue.  For first-plus-recent
-    (r = 0 only) the frozen phase follows the joint recursion in
-    _augmented_moments instead.
+    from exact_moments_full, with E X_1 = 2s - 1, or its delayed analogue.
+    For first-plus-recent (r = 0 only) the frozen phase follows the joint
+    recursion in _augmented_moments instead.
 
     Exact for r = 0.  For r > 0 the mean is exact but the second moment is
     idealised (see _delayed_moments_base and the module docstring), so
@@ -204,14 +208,14 @@ def exact_moments_increasing(
             raise ValueError(
                 "exact first-plus-recent moments need r = 0: the delayed block "
                 "moments are idealised, not exact for the simulated walk")
-        mean_m, second_m = exact_moments_full(params.p, m)
+        mean_m, second_m = exact_moments_full(params.p, m, params.s)
         mean_n, second_n = _augmented_moments(a, m, schedule.recent, n, mean_m, second_m)
         return MomentReport(n=n, m=m, mean_Sn=mean_n, second_Sn=second_n,
                             mean_Nstar=exact_mean_nonzeros(params, m, n))
     if params.delayed:
         mean_m, second_m = _delayed_moments_base(params, m)
     else:
-        mean_m, second_m = exact_moments_full(params.p, m)
+        mean_m, second_m = exact_moments_full(params.p, m, params.s)
     d = n - m
     mean_n = mean_m * (1.0 + d * a / m)
     amp = m * m + 2.0 * a * m * d + a * a * d * (d - 1.0)

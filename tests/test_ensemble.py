@@ -29,6 +29,7 @@ from erwlab import (
     total_variation,
     variance_standard_error,
 )
+from erwlab.ensemble import _ChunkStreams
 
 DELAYED = WalkParams(p=0.5, q=0.2, r=0.3)
 
@@ -88,7 +89,8 @@ def test_chunk_size_does_not_change_samples():
     MemorySchedule.last_increasing(GrowthRule(kind="power", c=2.0, beta=0.4)),
 ])
 def test_vectorized_engine_reproduces_scalar_paths(schedule):
-    grid = (39, 41, 100, 2100, 2600)
+    # 4103 ends on a partial Philox block, after a fill that resumes at counter 1024
+    grid = (39, 41, 100, 2100, 2600, 4103)
     cfg = EnsembleConfig(runs=4, n_grid=grid, master_seed=77)
     summary = run_ensemble(DELAYED, schedule, cfg)
     for i in range(4):
@@ -96,6 +98,34 @@ def test_vectorized_engine_reproduces_scalar_paths(schedule):
         n, s, nstar = t.checkpoints[-1]
         assert s == summary.final_S[i]
         assert nstar == summary.final_Nstar[i]
+
+
+@pytest.mark.parametrize("seed, run_lo", [
+    (2**63 + 12345, 0),
+    (2**64 - 1, 2**63),
+    (-7, 2**64 - 2),
+])
+def test_chunk_streams_resume_each_run_stream(seed, run_lo):
+    # consecutive fills continue every run's own stream, across key wrap-around
+    count, sizes = 3, (8, 2048, 4, 5)
+    streams = _ChunkStreams(seed, run_lo)
+    out = np.full((count, 2048), np.nan)
+    parts = [[] for _ in range(count)]
+    for nb in sizes:
+        streams.fill(out, nb)
+        for j in range(count):
+            parts[j].append(out[j, :nb].copy())
+    for j in range(count):
+        want = make_run_stream(seed, run_lo + j).random(sum(sizes))
+        assert np.array_equal(np.concatenate(parts[j]), want), j
+
+
+def test_chunk_streams_refuse_resume_inside_philox_block():
+    streams = _ChunkStreams(5, 0)
+    out = np.empty((2, 8))
+    streams.fill(out, 6)
+    with pytest.raises(ValueError, match="multiple of 4"):
+        streams.fill(out, 4)
 
 
 def test_ensemble_matches_enumeration_small():

@@ -61,6 +61,11 @@ def test_limit_moments_superdiffusive_mean_and_var():
     want_var = 0.49 * (1.0 / (0.4 * math.gamma(1.4)) - 0.49 / math.gamma(1.7) ** 2)
     assert rep.limit_var == pytest.approx(want_var, rel=1e-13)
     assert not rep.cdf_available
+    # the first step sets E L = (2s - 1) / Gamma(2p); E L^2 does not depend on it
+    rep = limit_moments(WalkParams(p=0.85, s=0.2))
+    assert rep.limit_mean == pytest.approx(0.7 * -0.6 / math.gamma(1.7), rel=1e-13)
+    want_var = 0.49 * (1.0 / (0.4 * math.gamma(1.4)) - 0.36 / math.gamma(1.7) ** 2)
+    assert rep.limit_var == pytest.approx(want_var, rel=1e-13)
 
 
 def test_limit_moments_delayed_diffusive_total_variance():

@@ -247,6 +247,22 @@ def test_two_epoch_matches_frozen_block_enumeration():
         assert es2 == pytest.approx(rep.second_Sn, abs=1e-10), (sched, params.p, n)
 
 
+@pytest.mark.parametrize("schedule", [
+    MemorySchedule.first_fixed(3),
+    MemorySchedule.full(),
+    MemorySchedule.first_plus_recent(m=2, recent=1),
+])
+def test_two_epoch_mean_follows_first_step_law(schedule):
+    # E X_1 = 2s - 1 carries through every later mean; X_1^2 = 1 whatever s
+    for p, s in ((0.7, 0.9), (0.5, 0.8), (0.3, 0.1), (0.6, 0.0)):
+        params = WalkParams(p=p, s=s)
+        for n in (1, 2, 5, 8):
+            es, es2, _ = enumerate_pmf(params, schedule, n).moments()
+            rep = exact_moments_increasing(params, schedule, n)
+            assert es == pytest.approx(rep.mean_Sn, abs=1e-10), (p, s, n)
+            assert es2 == pytest.approx(rep.second_Sn, abs=1e-10), (p, s, n)
+
+
 def test_two_epoch_requires_first_block():
     with pytest.raises(ValueError):
         exact_moments_increasing(WalkParams(p=0.6), MemorySchedule.last_fixed(5), 100)
