@@ -29,7 +29,8 @@ from erwlab import (
     total_variation,
     variance_standard_error,
 )
-from erwlab.ensemble import _ChunkStreams
+from erwlab import ensemble
+from erwlab.ensemble import _ChunkStreams, _simulate_chunk
 
 DELAYED = WalkParams(p=0.5, q=0.2, r=0.3)
 
@@ -87,17 +88,35 @@ def test_chunk_size_does_not_change_samples():
     MemorySchedule.first_plus_recent(growth=GrowthRule(), recent=1),
     MemorySchedule.last_fixed(7),
     MemorySchedule.last_increasing(GrowthRule(kind="power", c=2.0, beta=0.4)),
+    MemorySchedule.first_fixed(64),    # freezes on a tile edge
+    MemorySchedule.first_fixed(2048),  # freezes on a time-block edge
 ])
 def test_vectorized_engine_reproduces_scalar_paths(schedule):
-    # 4103 ends on a partial Philox block, after a fill that resumes at counter 1024
+    # checkpoints inside and after the frozen pass are compared as well as the
+    # last; 4103 ends on a partial Philox block, after a fill that resumes at
+    # counter 1024
     grid = (39, 41, 100, 2100, 2600, 4103)
-    cfg = EnsembleConfig(runs=4, n_grid=grid, master_seed=77)
-    summary = run_ensemble(DELAYED, schedule, cfg)
-    for i in range(4):
-        t = simulate_path(DELAYED, schedule, grid[-1], grid, make_run_stream(77, i))
-        n, s, nstar = t.checkpoints[-1]
-        assert s == summary.final_S[i]
-        assert nstar == summary.final_Nstar[i]
+    for params in (DELAYED, WalkParams(p=0.7, s=0.2)):
+        chunk = _simulate_chunk(params, schedule, grid, 77, 0, 4)
+        for i in range(4):
+            t = simulate_path(params, schedule, grid[-1], grid, make_run_stream(77, i))
+            got = [(n, int(chunk[n][0][i]), int(chunk[n][1][i])) for n in grid]
+            assert got == list(t.checkpoints), (params, i)
+
+
+def test_frozen_pass_starts_at_the_freeze_step(monkeypatch):
+    # first-fixed(100) reads its final block from step 101 on: steps 2..100
+    # need their own thresholds and every later step shares one set
+    calls = []
+    cut_points = ensemble._cut_points
+
+    def counted(*args):
+        calls.append(args)
+        return cut_points(*args)
+
+    monkeypatch.setattr(ensemble, "_cut_points", counted)
+    _simulate_chunk(WalkParams(p=0.6), MemorySchedule.first_fixed(100), (5000,), 1, 0, 64)
+    assert len(calls) <= 101
 
 
 @pytest.mark.parametrize("seed, run_lo", [
