@@ -10,11 +10,12 @@ and prints where they end up.
 import numpy as np
 
 from erwlab import (
+    EnsembleConfig,
     GrowthRule,
     MemorySchedule,
     MemoryView,
     WalkParams,
-    make_run_stream,
+    run_ensemble,
     simulate_path,
     step_distribution,
 )
@@ -44,7 +45,7 @@ print(f"five paths per schedule, positions at n = {grid}:")
 for name, sched in schedules.items():
     finals = []
     for run in range(5):
-        t = simulate_path(params, sched, n, grid, make_run_stream(2024, run))
+        t = simulate_path(params, sched, n, grid, 2024, run)
         finals.append([s for _, s, _ in t.checkpoints])
     print(f"  {name:26s} {finals}")
 print()
@@ -53,7 +54,6 @@ print()
 # hard, the windowed walk stays diffusive
 print("sample spread of S_n/n over 200 paths:")
 for name, sched in schedules.items():
-    ends = np.array([simulate_path(params, sched, 2000, [2000],
-                                   make_run_stream(7, i)).final()[1]
-                     for i in range(200)], dtype=float)
+    cfg = EnsembleConfig(runs=200, n_grid=(2000,), master_seed=7, scaled_statistic="none")
+    ends = run_ensemble(params, sched, cfg).final_S.astype(float)
     print(f"  {name:26s} mean {ends.mean() / 2000:+.3f}   sd {ends.std() / 2000:.3f}")

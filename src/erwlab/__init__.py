@@ -10,13 +10,9 @@ from .walk import (
     GrowthRule,
     MemorySchedule,
     MemoryView,
-    StepHistory,
     Trajectory,
     WalkParams,
-    draw_first_step,
     make_run_stream,
-    memory_view,
-    simulate_path,
     step_distribution,
 )
 from .oracle import (
@@ -53,6 +49,7 @@ from .ensemble import (
     run_ensemble,
     scale_factor,
     schedule_alpha,
+    simulate_path,
     summary_to_csv,
     total_variation,
     variance_standard_error,

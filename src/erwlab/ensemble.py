@@ -12,25 +12,33 @@ state is therefore just (key, counter = draws / 4) with an empty output
 buffer, so streams are resumed by writing that state, never by saving and
 restoring one per run.
 
+This module holds the one simulation kernel, _simulate_chunk; a single path
+(simulate_path) is a chunk of one run.  The kernel reads the memory set only
+through MemorySchedule.split: after step n the walk recalls the first b steps
+and the steps after max(b, n - w), with (b, w) = split(n).  It keeps the
+block's statistics, which are (S, N*) themselves while b = n, and the
+window's, from a ring of the last w steps; no variant name is consulted.
+
 Steps whose thresholds follow the walk are taken one at a time, for every run
 of the chunk at once.  Each step reads a contiguous row of a time-major tile:
 _TILE steps of the block are copied out in _TILE x _TILE squares into one
-reused buffer, never the whole block at once.  The window ring and the block
-store are time-major as well, and the running sums are float64 arrays holding
-exact integers, so _cut_points reads them without casts.
+reused buffer, never the whole block at once.  The window ring is time-major
+as well, and the running sums are float64 arrays holding exact integers, so
+_cut_points reads them without casts.
 
-A first-fixed or first-increasing block stops changing at the freeze step,
-the first k with block_size(k - 1) = block_size(n_max): k = m + 1 for
-first-fixed(m).  From there on every run's thresholds are constant, so they
-are computed once per chunk and the rest of the walk, from the freeze step
-on even inside a time block, is stepped in one vectorized pass per block
-over the run-major uniforms.
+A schedule without a window (w = 0 throughout) stops changing at the freeze
+step, the first k with b(k - 1) = b(n_max): k = m + 1 for first-fixed(m).
+From there on every run's thresholds are constant, so they are computed once
+per chunk and the rest of the walk, from the freeze step on even inside a
+time block, is stepped in one vectorized pass per block over the run-major
+uniforms.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, TextIO
@@ -39,7 +47,7 @@ import numpy as np
 
 from .limits import limit_moments
 from .oracle import exact_mean_nonzeros, exact_moments_increasing
-from .walk import MemorySchedule, WalkParams, _cut_points
+from .walk import MemorySchedule, Trajectory, WalkParams, _cut_points
 
 __all__ = [
     "EnsembleConfig",
@@ -47,6 +55,7 @@ __all__ = [
     "EnsembleSummary",
     "BudgetError",
     "run_ensemble",
+    "simulate_path",
     "ks_statistic",
     "kolmogorov_quantile",
     "total_variation",
@@ -218,64 +227,39 @@ def _simulate_chunk(
     def record(k: int) -> None:
         out[k] = (S.astype(np.int64), nstar.astype(np.int64))
 
-    variant = schedule.variant
-    is_last = schedule.is_last_window
-    is_first = schedule.is_first_block
-    m_max = schedule.block_size(n_max)
-    if is_last:
-        ring = np.zeros((m_max, count), dtype=np.int8)
-        wsum = np.zeros(count)
-        wnz = np.zeros(count)
-        w_prev = 0
-    elif is_first:
-        rec_k = schedule.recent
-        rec = np.zeros((rec_k, count), dtype=np.int8)
-        sm = np.empty(count)
-        nz = np.empty(count)
-        # Prefix-frozen blocks (no growth rule) coincide with the full history
-        # until they freeze, so a snapshot of (S, N*) at time m_max replaces
-        # the step store entirely.
-        snapshot = schedule.growth is None
-        if snapshot:
-            bsum = S
-            bnz = nstar
-        else:
-            stored = np.zeros((m_max, count), dtype=np.int8)
-            bsum = np.zeros(count)
-            bnz = np.zeros(count)
-            bsize = 0
+    # After step n the walk recalls M_n = {1..b} U {lo + 1..n}, where
+    # (b, win) = split(n) and lo = max(b, n - win).  While b = n the block's
+    # statistics are (S, N*); from the first n with b < n they are
+    # (bsum, bnz) over steps 1..bsize, grown from the rows in `joining`.  The
+    # window's are (wsum, wnz), kept from a ring of the last win_max steps.
+    b_max, win_max = schedule.split(n_max)
+    n = b = lo = bsize = 0
+    bsum = bnz = None
+    joining: deque[np.ndarray] = deque()
+    ring = np.zeros((win_max, count), dtype=np.int8)
+    wsum = np.zeros(count)
+    wnz = np.zeros(count)
+    sm = np.empty(count)
+    nz = np.empty(count)
 
-    def thresholds(k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every run's cut points for step k >= 2."""
-        nonlocal bsize
-        if variant == "full":
-            return _cut_points(p, q, r, w, float(k - 1), S, nstar)
-        if is_last:
-            return _cut_points(p, q, r, w, float(w_prev), wsum, wnz)
-        m = schedule.block_size(k - 1)
-        if not snapshot:
-            while bsize < m:
-                row = stored[bsize]
-                np.add(bsum, row, out=bsum)
-                np.add(bnz, row != 0, out=bnz)
-                bsize += 1
-        lo = max(m, k - 1 - rec_k) + 1  # oldest recent step outside the block
-        if lo == k:
-            return _cut_points(p, q, r, w, float(m), bsum, bnz)
-        np.copyto(sm, bsum)
-        np.copyto(nz, bnz)
-        for i in range(lo, k):
-            row = rec[(i - 1) % rec_k]
-            np.add(sm, row, out=sm)
-            np.add(nz, row != 0, out=nz)
-        return _cut_points(p, q, r, w, float(m + k - lo), sm, nz)
+    def thresholds() -> tuple[np.ndarray, np.ndarray]:
+        """Every run's cut points for step n + 1, which reads M_n."""
+        if lo == n:
+            block = (S, nstar) if b == n else (bsum, bnz)
+            return _cut_points(p, q, r, w, float(b), *block)
+        if not b:
+            return _cut_points(p, q, r, w, float(n - lo), wsum, wnz)
+        np.add(bsum, wsum, out=sm)
+        np.add(bnz, wnz, out=nz)
+        return _cut_points(p, q, r, w, float(b + n - lo), sm, nz)
 
-    # Step k reads the block of size block_size(k - 1).  From the first step
-    # that reads the final block on, every run's thresholds are constant, so
+    # Without a window M_n stops changing once b reaches b(n_max): from the
+    # step that first reads it on, every run's thresholds are constant, so
     # the rest of the walk is stepped in one vectorized pass per time block.
     k_freeze = n_max + 1
-    if variant in ("first-fixed", "first-increasing"):
-        k_freeze = 2 + bisect.bisect_left(range(1, n_max), m_max, key=schedule.block_size)
+    if not win_max:
+        k_freeze = 2 + bisect.bisect_left(range(1, n_max), b_max,
+                                          key=lambda j: schedule.split(j)[0])
     frozen = None
 
     uniforms = np.empty((count, min(_TIME_BLOCK, n_max)))
@@ -297,53 +281,89 @@ def _simulate_chunk(
             for r0 in range(0, count, _TILE):
                 tile[:tn, r0:r0 + _TILE] = uniforms[r0:r0 + _TILE, t0:t0 + tn].T
             for k, u in enumerate(tile[:tn], done + t0 + 1):
-                t1, t2 = thresholds(k) if k > 1 else (t1f, t2f)
+                t1, t2 = thresholds() if k > 1 else (t1f, t2f)
                 np.less(u, t1, out=lt)
                 np.greater_equal(u, t2, out=ge)
                 np.subtract(lt.view(np.int8), ge.view(np.int8), out=x)
                 np.copyto(xf, x)
                 np.multiply(xf, xf, out=nzf)
-                if is_last:
-                    w_k = schedule.block_size(k)
-                    if w_prev == w_k:  # window full: step k - w_k leaves
-                        old = ring[(k - w_k - 1) % m_max]
+                b_k, win_k = schedule.split(k)
+                if bsum is None and b_k < k:
+                    # the block falls behind the walk for the first time, at
+                    # b_k = k - 1: its statistics are (S, N*) before step k
+                    bsum, bnz, bsize = S.copy(), nstar.copy(), k - 1
+                if bsum is not None:
+                    if k <= b_max:
+                        joining.append(x.copy())
+                    for _ in range(bsize, b_k):
+                        row = joining.popleft()
+                        bsum += row
+                        bnz += row != 0
+                    bsize = b_k
+                lo_k = max(b_k, k - win_k)
+                if win_max:
+                    # steps lo+1.. leave the window, or steps lo_k+1..lo
+                    # rejoin it; step k - win_max leaves before step k takes
+                    # its ring slot
+                    for i in range(lo, min(lo_k, k - 1)):
+                        old = ring[i % win_max]
                         wsum -= old
                         wnz -= old != 0
-                    ring[(k - 1) % m_max] = x
-                    wsum += xf
-                    wnz += nzf
-                    w_prev = w_k
-                elif is_first:
-                    if not snapshot and k <= m_max:
-                        stored[k - 1] = x
-                    if rec_k:
-                        rec[(k - 1) % rec_k] = x
+                    for i in range(lo_k, lo):
+                        old = ring[i % win_max]
+                        wsum += old
+                        wnz += old != 0
+                    ring[(k - 1) % win_max] = x
+                    if lo_k < k:
+                        wsum += xf
+                        wnz += nzf
                 S += xf
                 nstar += nzf
-                if is_first and snapshot and k == m_max:
-                    bsum = S.copy()  # the block's statistics, frozen from here on
-                    bnz = nstar.copy()
+                n, b, lo = k, b_k, lo_k
                 if k in grid_set:
                     record(k)
         if stepped < nb:
             if frozen is None:
-                t1, t2 = thresholds(k_freeze)
+                t1, t2 = thresholds()
                 frozen = t1[:, None], t2[:, None]
             u = uniforms[:, stepped:nb]
             plus = u < frozen[0]
             minus = u >= frozen[1]
-            a = 0
+            i0 = 0
             for c in [c for c in grid if done + stepped < c < done + nb] + [done + nb]:
-                b = c - done - stepped
-                n_plus = np.count_nonzero(plus[:, a:b], axis=1)
-                n_minus = np.count_nonzero(minus[:, a:b], axis=1)
+                i1 = c - done - stepped
+                n_plus = np.count_nonzero(plus[:, i0:i1], axis=1)
+                n_minus = np.count_nonzero(minus[:, i0:i1], axis=1)
                 S += n_plus - n_minus
                 nstar += n_plus + n_minus
                 if c in grid_set:
                     record(c)
-                a = b
+                i0 = i1
         done += nb
     return out
+
+
+def simulate_path(
+    params: WalkParams,
+    schedule: MemorySchedule,
+    n_max: int,
+    checkpoints: Sequence[int],
+    master_seed: int,
+    run_index: int,
+) -> Trajectory:
+    """Run run_index of the ensemble keyed by master_seed, as one trajectory.
+
+    This is the chunk kernel over the single run [run_index, run_index + 1),
+    so the path is the same run of any ensemble with that seed, bit for bit.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    grid = tuple(sorted(set(int(c) for c in checkpoints)))
+    if not grid or grid[0] < 1 or grid[-1] > n_max:
+        raise ValueError("checkpoints must be a nonempty subset of [1, n_max]")
+    chunk = _simulate_chunk(params, schedule, grid, master_seed, run_index, run_index + 1)
+    return Trajectory(tuple((k, int(chunk[k][0][0]), int(chunk[k][1][0])) for k in grid),
+                      params, schedule)
 
 
 def _chunk_task(args) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]:

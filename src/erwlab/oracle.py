@@ -409,16 +409,8 @@ def enumerate_pmf(
         if k == n:
             add_mass((sum(steps), sum(1 for v in steps if v != 0)), prob)
             continue
-        m = schedule.block_size(k)
-        if schedule.variant == "full":
-            mem = steps
-        elif schedule.is_last_window:
-            mem = steps[k - m:]
-        elif schedule.variant == "first-plus-recent":
-            lo = max(m, k - schedule.recent)
-            mem = steps[:m] + steps[lo:]
-        else:
-            mem = steps[:m]
+        b, w = schedule.split(k)
+        mem = steps[:b] + steps[max(b, k - w):]
         size = len(mem)
         sm = sum(mem)
         nz = sum(1 for v in mem if v != 0)

@@ -11,8 +11,8 @@ two-valued walk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -21,11 +21,8 @@ __all__ = [
     "GrowthRule",
     "MemorySchedule",
     "MemoryView",
-    "StepHistory",
     "Trajectory",
     "step_distribution",
-    "draw_first_step",
-    "simulate_path",
     "make_run_stream",
 ]
 
@@ -112,18 +109,25 @@ class GrowthRule:
 class MemorySchedule:
     """Which past indices the walker recalls at time n.
 
-    variant:
-        "full"                    M_n = {1..n}
-        "first-fixed"             M_n = {1..min(n, m)}
-        "first-increasing"        M_n = {1..m_n}, m_n from the growth rule
-        "first-plus-recent"       first block plus the k most recent steps
-        "last-fixed"              M_n = trailing window of min(n, m) steps
-        "last-increasing"         trailing window of m_n steps
+    Every schedule recalls a first block and a trailing window after it,
 
-    For the first-* variants the effective block size is
-    m_n = min(n, max(1, floor(rule(n)))), nondecreasing with 1 <= m_n <= n.
-    "first-plus-recent" with fixed=True freezes the block at a given size,
-    which is the per-horizon form used when verifying the limit theorems.
+        M_n = {1..b} U {max(b, n - w) + 1..n},   (b, w) = split(n),
+
+    and the variants differ only in b and w:
+
+        variant               fields read          b      w
+        "full"                -                    n      0
+        "first-fixed"         m                    m_n    0
+        "first-increasing"    growth               m_n    0
+        "first-plus-recent"   m or growth, recent  m_n    recent
+        "last-fixed"          m                    0      m_n
+        "last-increasing"     growth               0      m_n
+
+    m_n = min(n, m) for a fixed size and min(n, max(1, floor(rule(n)))) for a
+    growth rule, so it is nondecreasing with 1 <= m_n <= n; b and w are
+    nondecreasing in n as well.  A field the variant does not read must keep
+    its default.  "first-plus-recent" with a fixed m freezes the block at that
+    size, which is the per-horizon form used when verifying the limit theorems.
     """
 
     variant: str
@@ -133,11 +137,17 @@ class MemorySchedule:
 
     _FIRST = ("first-fixed", "first-increasing", "first-plus-recent")
     _LAST = ("last-fixed", "last-increasing")
+    _READS = {"full": (), "first-fixed": ("m",), "first-increasing": ("growth",),
+              "first-plus-recent": ("m", "growth", "recent"),
+              "last-fixed": ("m",), "last-increasing": ("growth",)}
 
     def __post_init__(self):
-        known = ("full",) + self._FIRST + self._LAST
-        if self.variant not in known:
+        reads = self._READS.get(self.variant)
+        if reads is None:
             raise ValueError(f"unknown schedule variant {self.variant!r}")
+        for name, default in (("m", 0), ("growth", None), ("recent", 0)):
+            if name not in reads and getattr(self, name) != default:
+                raise ValueError(f"{self.variant} schedules do not read {name}")
         if self.variant in ("first-fixed", "last-fixed") and self.m < 1:
             raise ValueError("fixed schedules need m >= 1")
         if self.variant in ("first-increasing", "last-increasing") and self.growth is None:
@@ -147,6 +157,8 @@ class MemorySchedule:
                 raise ValueError("first-plus-recent needs recent >= 1")
             if self.growth is None and self.m < 1:
                 raise ValueError("first-plus-recent needs a growth rule or fixed m")
+            if self.growth is not None and self.m != 0:
+                raise ValueError("first-plus-recent takes a growth rule or a fixed m, not both")
 
     # ---- constructors ----
 
@@ -196,6 +208,11 @@ class MemorySchedule:
             return min(n, max(1, math.floor(self.growth.raw(n))))
         return min(n, self.m)
 
+    def split(self, n: int) -> tuple[int, int]:
+        """(b, w) with M_n = {1..b} U {max(b, n - w) + 1..n}; see the class docstring."""
+        m = self.block_size(n)
+        return (0, m) if self.is_last_window else (m, self.recent)
+
     def frozen_at_horizon(self, n: int) -> "MemorySchedule":
         """Per-horizon schedule: the block frozen at its size at time n.
 
@@ -205,23 +222,13 @@ class MemorySchedule:
         """
         if self.variant == "full":
             return self
-        if self.is_last_window:
-            return MemorySchedule("last-fixed", m=self.block_size(n))
-        if self.variant == "first-plus-recent":
-            return MemorySchedule.first_plus_recent(m=self.block_size(n), recent=self.recent)
-        return MemorySchedule.first_fixed(self.block_size(n))
+        return MemorySchedule(self.variant.replace("increasing", "fixed"),
+                              m=self.block_size(n), recent=self.recent)
 
     def memory_indices(self, n: int) -> list[int]:
-        """Explicit M_n as 1-based indices (small n only; used by enumeration/tests)."""
-        m = self.block_size(n)
-        if self.variant == "full":
-            return list(range(1, n + 1))
-        if self.is_last_window:
-            return list(range(n - m + 1, n + 1))
-        idx = set(range(1, m + 1))
-        if self.variant == "first-plus-recent":
-            idx |= set(range(max(1, n - self.recent + 1), n + 1))
-        return sorted(idx)
+        """Explicit M_n as 1-based indices (small n only; used by tests)."""
+        b, w = self.split(n)
+        return list(range(1, b + 1)) + list(range(max(b, n - w) + 1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -241,63 +248,27 @@ class MemoryView:
             raise ValueError(f"sum and nonzero count have different parity: {self}")
 
 
-class StepHistory:
-    """Step sequence accessor with prefix sums, O(1) window/block statistics."""
-
-    def __init__(self):
-        self._csum = [0]      # csum[i] = X_1 + .. + X_i
-        self._cnz = [0]       # cnz[i]  = #{j <= i : X_j != 0}
-
-    def append(self, x: int) -> None:
-        if x not in (-1, 0, 1):
-            raise ValueError(f"step must be in {{-1, 0, 1}}, got {x}")
-        self._csum.append(self._csum[-1] + x)
-        self._cnz.append(self._cnz[-1] + (x != 0))
-
-    def __len__(self) -> int:
-        return len(self._csum) - 1
-
-    def range_stats(self, lo: int, hi: int) -> tuple[int, int]:
-        """(sum, nonzero count) over indices lo..hi inclusive, 1-based."""
-        return self._csum[hi] - self._csum[lo - 1], self._cnz[hi] - self._cnz[lo - 1]
-
-    def step(self, i: int) -> int:
-        return self._csum[i] - self._csum[i - 1]
-
-
-def memory_view(history: StepHistory, schedule: MemorySchedule, n: int) -> MemoryView:
-    """Statistics of the remembered steps M_n given the first n steps."""
-    if n < 1:
-        raise ValueError("memory_view needs n >= 1")
-    if len(history) < n:
-        raise ValueError(f"history holds {len(history)} steps, need {n}")
-    m = schedule.block_size(n)
-    if schedule.variant == "full":
-        s, nz = history.range_stats(1, n)
-        return MemoryView(n, s, nz)
-    if schedule.is_last_window:
-        s, nz = history.range_stats(n - m + 1, n)
-        return MemoryView(m, s, nz)
-    s, nz = history.range_stats(1, m)
-    size = m
-    if schedule.variant == "first-plus-recent":
-        lo = max(m, n - schedule.recent) + 1
-        if lo <= n:
-            s2, nz2 = history.range_stats(lo, n)
-            s, nz, size = s + s2, nz + nz2, size + (n - lo + 1)
-    return MemoryView(size, s, nz)
-
-
 def _cut_points(p, q, r, w, size, sm, nz):
     """Cumulative cut points (t1, t2): u < t1 -> +1, u < t2 -> 0, else -1.
 
-    Shared by the scalar and vectorized engines (arguments may be scalars or
-    arrays) so both see identical floating-point thresholds.
+    t1 = (p * n_plus + q * n_minus) / size and
+    t2 = t1 + (r + w * (size - nz) / size), evaluated in that order with
+    n_plus = (nz + sm) / 2 and n_minus = (nz - sm) / 2.  Arguments may be
+    scalars or float arrays; arrays are updated in place in three buffers.
     """
-    n_plus = (nz + sm) * 0.5
-    n_minus = (nz - sm) * 0.5
-    t1 = (p * n_plus + q * n_minus) / size
-    t2 = t1 + (r + w * (size - nz) / size)
+    t1 = nz + sm
+    t1 *= 0.5
+    n_minus = nz - sm
+    n_minus *= 0.5
+    t1 *= p
+    n_minus *= q
+    t1 += n_minus
+    t1 /= size
+    t2 = size - nz
+    t2 *= w
+    t2 /= size
+    t2 += r
+    t2 += t1
     return t1, t2
 
 
@@ -322,17 +293,6 @@ def step_distribution(params: WalkParams, view: MemoryView) -> tuple[float, floa
     return p_plus, p_zero, p_minus
 
 
-def draw_first_step(params: WalkParams, rng: np.random.Generator) -> int:
-    """First step: +1 w.p. s / -1 otherwise (r = 0), or (p, r, q) weights (r > 0)."""
-    t1, t2 = params.first_step_thresholds()
-    u = rng.random()
-    if u < t1:
-        return 1
-    if u < t2:
-        return 0
-    return -1
-
-
 def make_run_stream(master_seed: int, run_index: int) -> np.random.Generator:
     """Counter-based stream for one run, derived from (master_seed, run_index).
 
@@ -351,115 +311,3 @@ class Trajectory:
     checkpoints: tuple[tuple[int, int, int], ...]
     params: WalkParams
     schedule: MemorySchedule
-
-    def final(self) -> tuple[int, int, int]:
-        return self.checkpoints[-1]
-
-
-def _step_from_uniform(u: float, t1: float, t2: float) -> int:
-    if u < t1:
-        return 1
-    if u < t2:
-        return 0
-    return -1
-
-
-def simulate_path(
-    params: WalkParams,
-    schedule: MemorySchedule,
-    n_max: int,
-    checkpoints: Sequence[int],
-    rng: np.random.Generator,
-) -> Trajectory:
-    """Simulate one trajectory, recording (S_n, N*_n) on the checkpoint grid.
-
-    One uniform is consumed per step, so a path is reproducible from its
-    run stream alone.  Storage is bounded by the schedule: first-* variants
-    keep prefix sums up to the largest block size, last-* variants keep a
-    ring buffer of the window.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    grid = sorted(set(int(c) for c in checkpoints))
-    if not grid or grid[0] < 1 or grid[-1] > n_max:
-        raise ValueError("checkpoints must be a nonempty subset of [1, n_max]")
-
-    p, q, r = params.p, params.q, params.r
-    first_t1, first_t2 = params.first_step_thresholds()
-
-    out: list[tuple[int, int, int]] = []
-    grid_set = set(grid)
-    S = 0
-    nstar = 0
-
-    w = p + q
-    if schedule.is_last_window:
-        w_max = schedule.block_size(n_max)
-        ring = np.zeros(w_max, dtype=np.int8)
-        wsum = 0
-        wnz = 0
-        w_prev = 0
-        for k in range(1, n_max + 1):
-            if k == 1:
-                x = _step_from_uniform(rng.random(), first_t1, first_t2)
-            else:
-                t1, t2 = _cut_points(p, q, r, w, float(w_prev), wsum, wnz)
-                x = _step_from_uniform(rng.random(), t1, t2)
-            # insert step k; evict whatever leaves the window of size w_k
-            w_k = schedule.block_size(k)
-            if w_prev == w_k:  # window did not grow: step k - w_k leaves
-                old = int(ring[(k - w_k - 1) % w_max])
-                wsum -= old
-                wnz -= old != 0
-            ring[(k - 1) % w_max] = x
-            wsum += x
-            wnz += x != 0
-            w_prev = w_k
-            S += x
-            nstar += x != 0
-            if k in grid_set:
-                out.append((k, S, nstar))
-        return Trajectory(tuple(out), params, schedule)
-
-    # full memory and first-block variants share the prefix-sum state
-    is_full = schedule.variant == "full"
-    keep = 0 if is_full else schedule.block_size(n_max)
-    stored = np.zeros(keep, dtype=np.int8)  # X_1..X_keep for later block joins
-    bsize = 0   # current block length covered by (bsum, bnz)
-    bsum = 0
-    bnz = 0
-    recent_k = schedule.recent if schedule.variant == "first-plus-recent" else 0
-    recent = [0] * recent_k
-    for k in range(1, n_max + 1):
-        if k == 1:
-            x = _step_from_uniform(rng.random(), first_t1, first_t2)
-        else:
-            n_prev = k - 1
-            if is_full:
-                size, s, nz = n_prev, S, nstar
-            else:
-                m = schedule.block_size(n_prev)
-                while bsize < m:
-                    bsize += 1
-                    v = int(stored[bsize - 1])
-                    bsum += v
-                    bnz += v != 0
-                size, s, nz = m, bsum, bnz
-                if recent_k:
-                    lo = max(m, n_prev - recent_k) + 1
-                    for i in range(lo, n_prev + 1):
-                        v = recent[(i - 1) % recent_k]
-                        s += v
-                        nz += v != 0
-                        size += 1
-            t1, t2 = _cut_points(p, q, r, w, float(size), s, nz)
-            x = _step_from_uniform(rng.random(), t1, t2)
-        if k <= keep:
-            stored[k - 1] = x
-        if recent_k:
-            recent[(k - 1) % recent_k] = x
-        S += x
-        nstar += x != 0
-        if k in grid_set:
-            out.append((k, S, nstar))
-    return Trajectory(tuple(out), params, schedule)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erwlab import (
     BudgetError,
@@ -24,13 +26,13 @@ from erwlab import (
     run_ensemble,
     scale_factor,
     schedule_alpha,
-    simulate_path,
     summary_to_csv,
     total_variation,
     variance_standard_error,
 )
 from erwlab import ensemble
 from erwlab.ensemble import _ChunkStreams, _simulate_chunk
+from reference import reference_path
 
 DELAYED = WalkParams(p=0.5, q=0.2, r=0.3)
 
@@ -90,6 +92,8 @@ def test_chunk_size_does_not_change_samples():
     MemorySchedule.last_increasing(GrowthRule(kind="power", c=2.0, beta=0.4)),
     MemorySchedule.first_fixed(64),    # freezes on a tile edge
     MemorySchedule.first_fixed(2048),  # freezes on a time-block edge
+    # m_n = 1, 1, 3: at n = 3 the window grows back over step 1
+    MemorySchedule.last_increasing(GrowthRule(kind="log", c=2.8)),
 ])
 def test_vectorized_engine_reproduces_scalar_paths(schedule):
     # checkpoints inside and after the frozen pass are compared as well as the
@@ -99,9 +103,48 @@ def test_vectorized_engine_reproduces_scalar_paths(schedule):
     for params in (DELAYED, WalkParams(p=0.7, s=0.2)):
         chunk = _simulate_chunk(params, schedule, grid, 77, 0, 4)
         for i in range(4):
-            t = simulate_path(params, schedule, grid[-1], grid, make_run_stream(77, i))
             got = [(n, int(chunk[n][0][i]), int(chunk[n][1][i])) for n in grid]
-            assert got == list(t.checkpoints), (params, i)
+            assert got == reference_path(params, schedule, grid, 77, i), (params, i)
+
+
+_GROWTH = st.builds(GrowthRule, kind=st.sampled_from(["power", "log"]),
+                    c=st.floats(0.3, 4.0), beta=st.floats(0.1, 1.0))
+_SCHEDULES = st.one_of(
+    st.just(MemorySchedule.full()),
+    st.builds(MemorySchedule.first_fixed, st.integers(1, 40)),
+    st.builds(MemorySchedule.first_increasing, _GROWTH),
+    st.builds(MemorySchedule.first_plus_recent, m=st.integers(1, 40), recent=st.integers(1, 5)),
+    st.builds(MemorySchedule.first_plus_recent, growth=_GROWTH, recent=st.integers(1, 5)),
+    st.builds(MemorySchedule.last_fixed, st.integers(1, 40)),
+    st.builds(MemorySchedule.last_increasing, _GROWTH),
+)
+
+
+@st.composite
+def _walk_params(draw):
+    p = draw(st.floats(0.05, 0.95))
+    r = draw(st.just(0.0) | st.floats(0.0, 0.999 - p))
+    return WalkParams(p=p, r=r, s=draw(st.floats(0.0, 1.0)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(params=_walk_params(), schedule=_SCHEDULES,
+       grid=st.lists(st.integers(1, 300), min_size=1, max_size=5, unique=True)
+       .map(lambda g: tuple(sorted(g))),
+       seed=st.integers(0, 2**64 - 1), run_lo=st.integers(0, 2**64 - 1),
+       count=st.integers(2, 5), cut=st.integers(1, 4))
+def test_kernel_matches_reference_and_any_chunk_split(params, schedule, grid, seed, run_lo,
+                                                      count, cut):
+    mid = run_lo + min(cut, count - 1)
+    whole = _simulate_chunk(params, schedule, grid, seed, run_lo, run_lo + count)
+    left = _simulate_chunk(params, schedule, grid, seed, run_lo, mid)
+    right = _simulate_chunk(params, schedule, grid, seed, mid, run_lo + count)
+    for n in grid:
+        for i in (0, 1):
+            assert np.array_equal(np.concatenate([left[n][i], right[n][i]]), whole[n][i])
+    for j in range(count):
+        got = [(n, int(whole[n][0][j]), int(whole[n][1][j])) for n in grid]
+        assert got == reference_path(params, schedule, grid, seed, run_lo + j), j
 
 
 def test_frozen_pass_starts_at_the_freeze_step(monkeypatch):

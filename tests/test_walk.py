@@ -2,22 +2,23 @@
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from erwlab import (
+    EnsembleConfig,
     GrowthRule,
     MemorySchedule,
     MemoryView,
-    StepHistory,
     WalkParams,
-    draw_first_step,
     make_run_stream,
-    memory_view,
+    run_ensemble,
     simulate_path,
     step_distribution,
 )
+from reference import memory_view
 
 
 # ---------------------------------------------------------------------------
@@ -112,39 +113,82 @@ def test_memory_indices_examples():
     assert MemorySchedule.full().memory_indices(3) == [1, 2, 3]
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(variant="first-increasing", growth=GrowthRule(), recent=2),
+    dict(variant="last-fixed", m=3, recent=1),
+    dict(variant="first-fixed", m=3, growth=GrowthRule()),
+    dict(variant="last-fixed", m=3, growth=GrowthRule()),
+    dict(variant="full", m=5),
+    dict(variant="first-increasing", growth=GrowthRule(), m=5),
+    dict(variant="last-increasing", growth=GrowthRule(), m=5),
+    dict(variant="first-plus-recent", m=5, growth=GrowthRule(), recent=1),
+])
+def test_schedule_rejects_fields_its_variant_ignores(kwargs):
+    # first-increasing with recent=2 was once simulated with the recent steps
+    # by the chunk kernel and without them by the enumeration
+    with pytest.raises(ValueError):
+        MemorySchedule(**kwargs)
+
+
+def _defined_memory(schedule, n):
+    """M_n spelled out per variant, as the MemorySchedule docstring defines it."""
+    m = schedule.block_size(n)
+    if schedule.variant == "full":
+        return list(range(1, n + 1))
+    if schedule.variant in ("last-fixed", "last-increasing"):
+        return list(range(n - m + 1, n + 1))
+    idx = set(range(1, m + 1))
+    if schedule.variant == "first-plus-recent":
+        idx |= set(range(max(1, n - schedule.recent + 1), n + 1))
+    return sorted(idx)
+
+
+@pytest.mark.parametrize("sched", [
+    MemorySchedule.full(),
+    MemorySchedule.first_fixed(5),
+    MemorySchedule.first_increasing(),
+    MemorySchedule.first_increasing(GrowthRule(kind="log", c=2.8)),  # m_n: 1, 1, 3
+    MemorySchedule.first_plus_recent(m=4, recent=3),
+    MemorySchedule.first_plus_recent(growth=GrowthRule(), recent=2),
+    MemorySchedule.last_fixed(4),
+    MemorySchedule.last_increasing(GrowthRule(kind="power", c=1.0, beta=0.6)),
+    MemorySchedule.last_increasing(GrowthRule(kind="log", c=2.8)),
+])
+def test_split_matches_the_definition(sched):
+    for n in range(1, 201):
+        b, w = sched.split(n)
+        want = _defined_memory(sched, n)
+        assert list(range(1, b + 1)) + list(range(max(b, n - w) + 1, n + 1)) == want, n
+        assert sched.memory_indices(n) == want, n
+
+
 # ---------------------------------------------------------------------------
 # memory views
 # ---------------------------------------------------------------------------
 
 
-def _history(steps):
-    h = StepHistory()
-    for x in steps:
-        h.append(x)
-    return h
+def _prefix_sums(steps):
+    return list(accumulate(steps, initial=0)), list(accumulate(map(abs, steps), initial=0))
 
 
 def test_memory_view_first_increasing_all_ones():
-    h = _history([1] * 9)
-    v = memory_view(h, MemorySchedule.first_increasing(), 9)
-    assert (v.size, v.sum, v.nonzero) == (3, 3, 3)
+    v = memory_view(*_prefix_sums([1] * 9), MemorySchedule.first_increasing(), 9)
+    assert v == (3, 3, 3)
 
 
 def test_memory_view_plus_recent_size():
-    h = _history([1] * 9)
-    v = memory_view(h, MemorySchedule.first_plus_recent(growth=GrowthRule(), recent=1), 9)
-    assert v.size == 4
+    sched = MemorySchedule.first_plus_recent(growth=GrowthRule(), recent=1)
+    assert memory_view(*_prefix_sums([1] * 9), sched, 9)[0] == 4
 
 
 def test_memory_view_last_window():
-    h = _history([1, -1, 1, 1, -1])
-    v = memory_view(h, MemorySchedule.last_fixed(2), 5)
-    assert (v.size, v.sum, v.nonzero) == (2, 0, 2)
+    v = memory_view(*_prefix_sums([1, -1, 1, 1, -1]), MemorySchedule.last_fixed(2), 5)
+    assert v == (2, 0, 2)
 
 
 def test_memory_view_needs_time():
     with pytest.raises(ValueError):
-        memory_view(_history([1]), MemorySchedule.full(), 0)
+        memory_view(*_prefix_sums([1]), MemorySchedule.full(), 0)
 
 
 def test_view_invariants_enforced():
@@ -233,24 +277,22 @@ def test_step_distribution_zero_memory_rejected():
 # ---------------------------------------------------------------------------
 
 
+def _first_steps(params, seed, runs):
+    cfg = EnsembleConfig(runs=runs, n_grid=(1,), master_seed=seed, scaled_statistic="none")
+    return run_ensemble(params, MemorySchedule.full(), cfg).final_S
+
+
 def test_first_step_degenerate():
-    params = WalkParams(p=0.3, s=1.0)
-    rng = make_run_stream(0, 0)
-    assert all(draw_first_step(params, rng) == 1 for _ in range(200))
+    assert np.all(_first_steps(WalkParams(p=0.3, s=1.0), 0, 200) == 1)
 
 
 def test_first_step_frequency():
-    params = WalkParams(p=0.7)
-    rng = make_run_stream(2024, 0)
-    n = 10**6
-    hits = sum(draw_first_step(params, rng) == 1 for _ in range(n))
-    assert hits / n == pytest.approx(0.7, abs=0.0014)  # 3 sigma
+    draws = _first_steps(WalkParams(p=0.7), 2024, 10**6)
+    assert np.mean(draws == 1) == pytest.approx(0.7, abs=0.0014)  # 3 sigma
 
 
 def test_first_step_delayed_weights():
-    params = WalkParams(p=0.5, q=0.2, r=0.3)
-    rng = make_run_stream(7, 1)
-    draws = np.array([draw_first_step(params, rng) for _ in range(60_000)])
+    draws = _first_steps(WalkParams(p=0.5, q=0.2, r=0.3), 7, 60_000)
     assert np.mean(draws == 1) == pytest.approx(0.5, abs=0.01)
     assert np.mean(draws == 0) == pytest.approx(0.3, abs=0.01)
     assert np.mean(draws == -1) == pytest.approx(0.2, abs=0.01)
@@ -266,7 +308,7 @@ def test_trajectory_invariants_two_valued():
     sched = MemorySchedule.first_increasing()
     grid = [1, 2, 3, 10, 50, 321, 1000]
     for i in range(20):
-        t = simulate_path(params, sched, 1000, grid, make_run_stream(5, i))
+        t = simulate_path(params, sched, 1000, grid, 5, i)
         prev_n = 0
         prev_nstar = 0
         for n, s, nstar in t.checkpoints:
@@ -282,7 +324,7 @@ def test_trajectory_absorption_delayed():
     sched = MemorySchedule.first_increasing()
     saw_degenerate = False
     for i in range(300):
-        t = simulate_path(params, sched, 60, [5, 20, 60], make_run_stream(11, i))
+        t = simulate_path(params, sched, 60, [5, 20, 60], 11, i)
         vals = dict((n, (s, nstar)) for n, s, nstar in t.checkpoints)
         for early, late in ((5, 20), (20, 60)):
             if vals[early][1] == 0:
@@ -294,11 +336,11 @@ def test_trajectory_absorption_delayed():
 def test_simulate_path_checkpoint_validation():
     params = WalkParams(p=0.6)
     with pytest.raises(ValueError):
-        simulate_path(params, MemorySchedule.full(), 10, [0, 5], make_run_stream(0, 0))
+        simulate_path(params, MemorySchedule.full(), 10, [0, 5], 0, 0)
     with pytest.raises(ValueError):
-        simulate_path(params, MemorySchedule.full(), 10, [], make_run_stream(0, 0))
+        simulate_path(params, MemorySchedule.full(), 10, [], 0, 0)
     with pytest.raises(ValueError):
-        simulate_path(params, MemorySchedule.full(), 10, [11], make_run_stream(0, 0))
+        simulate_path(params, MemorySchedule.full(), 10, [11], 0, 0)
 
 
 def test_run_streams_are_independent_and_reproducible():
