@@ -16,7 +16,7 @@ from erwlab import (
     MemoryView,
     WalkParams,
     run_ensemble,
-    simulate_path,
+    simulate_paths,
     step_distribution,
 )
 
@@ -43,10 +43,8 @@ n = 10_000
 grid = [100, 1000, n]
 print(f"five paths per schedule, positions at n = {grid}:")
 for name, sched in schedules.items():
-    finals = []
-    for run in range(5):
-        t = simulate_path(params, sched, n, grid, 2024, run)
-        finals.append([s for _, s, _ in t.checkpoints])
+    finals = [[s for _, s, _ in t.checkpoints]
+              for t in simulate_paths(params, sched, n, grid, 2024, 0, 5)]
     print(f"  {name:26s} {finals}")
 print()
 

@@ -50,6 +50,7 @@ from .ensemble import (
     scale_factor,
     schedule_alpha,
     simulate_path,
+    simulate_paths,
     summary_to_csv,
     total_variation,
     variance_standard_error,

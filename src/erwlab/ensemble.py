@@ -10,10 +10,13 @@ Uniforms are drawn in time blocks of _TIME_BLOCK per run, a multiple of 4,
 into one run-major array (a row per run).  Between blocks a run's Philox4x64
 state is therefore just (key, counter = draws / 4) with an empty output
 buffer, so streams are resumed by writing that state, never by saving and
-restoring one per run.
+restoring one per run.  Time blocks serve the per-step head of the walk and
+walks whose frozen tail is short; a long frozen tail is drawn run by run
+(see below).
 
-This module holds the one simulation kernel, _simulate_chunk; a single path
-(simulate_path) is a chunk of one run.  The kernel reads the memory set only
+This module holds the one simulation kernel, _simulate_chunk; a few paths
+(simulate_paths) are one chunk, and a single path (simulate_path) is a chunk
+of one run.  The kernel reads the memory set only
 through MemorySchedule.split: after step n the walk recalls the first b steps
 and the steps after max(b, n - w), with (b, w) = split(n).  It keeps the
 block's statistics, which are (S, N*) themselves while b = n, and the
@@ -29,9 +32,15 @@ _cut_points reads them without casts.
 A schedule without a window (w = 0 throughout) stops changing at the freeze
 step, the first k with b(k - 1) = b(n_max): k = m + 1 for first-fixed(m).
 From there on every run's thresholds are constant, so they are computed once
-per chunk and the rest of the walk, from the freeze step on even inside a
-time block, is stepped in one vectorized pass per block over the run-major
-uniforms.
+per chunk, and a step only adds u < t1 to S and N* and subtracts u >= t2.
+Time blocks then stop at the head: steps 1..k - 1 rounded up to a multiple
+of 4, whose few frozen columns are counted in one vectorized pass over the
+block.  Each run's frozen tail resumes its stream at counter head / 4 and is
+drawn in pieces of _TAIL_BLOCK into one reused 1-D buffer that stays in
+cache; every stretch between checkpoints is counted with 1-D compares and
+count_nonzero, and the counts are added to (S, N*) after the last run.  A
+tail shorter than _TIME_BLOCK, where a loop over runs would cost more than
+it saves, stays in the time blocks and their vectorized pass.
 """
 
 from __future__ import annotations
@@ -56,6 +65,7 @@ __all__ = [
     "BudgetError",
     "run_ensemble",
     "simulate_path",
+    "simulate_paths",
     "ks_statistic",
     "kolmogorov_quantile",
     "total_variation",
@@ -70,11 +80,16 @@ __all__ = [
 DEFAULT_CHUNK = 4096
 DEFAULT_MAX_STEPS = 5_000_000_000
 
-# Uniforms drawn per run per stream fill.  _ChunkStreams resumes a stream at
-# counter draws / 4, so every fill but the last must draw a multiple of 4.
+# Uniforms drawn per run per stream fill: _TIME_BLOCK for every run of a
+# chunk at once, _TAIL_BLOCK for one run's frozen tail.  _ChunkStreams resumes
+# a stream at counter draws / 4, so every fill but the last must draw a
+# multiple of 4.  Each tail piece costs one Philox state write, so pieces are
+# as long as still fits the buffer in cache: 128 KB of doubles.
 _TIME_BLOCK = 2048
-if _TIME_BLOCK % 4:
-    raise ValueError(f"_TIME_BLOCK must be a multiple of 4, got {_TIME_BLOCK}")
+_TAIL_BLOCK = 16384
+if _TIME_BLOCK % 4 or _TAIL_BLOCK % 4:
+    raise ValueError("_TIME_BLOCK and _TAIL_BLOCK must be multiples of 4, "
+                     f"got {_TIME_BLOCK} and {_TAIL_BLOCK}")
 
 # Steps per time-major tile of the per-step loop, and runs per square copied
 # into it.  A tile of a 4096-run chunk is 2 MB, where the whole time block
@@ -108,6 +123,8 @@ class EnsembleConfig:
         object.__setattr__(self, "n_grid", grid)
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
 
 def scale_factor(tag: str, n: int, m: int, params: WalkParams) -> float:
@@ -164,6 +181,13 @@ class _ChunkStreams:
     nothing is read back and no per-run state is kept between fills.  That
     needs every fill but the last to draw a multiple of 4 uniforms; a fill
     that would resume mid-buffer is refused.
+
+    Fills serve the runs of the chunk in step, from run_lo on, a time block
+    at a time.  seek(j, drawn) moves the streams to run run_lo + j after
+    `drawn` of its draws: a fill of a one-row out then serves that run alone,
+    and the next fill carries on where it stopped.  That is how a run's
+    frozen tail is drawn, piece by piece, into one small buffer, with the
+    same multiple-of-4 rule for every piece but the last.
     """
 
     _MASK = 0xFFFFFFFFFFFFFFFF
@@ -171,7 +195,7 @@ class _ChunkStreams:
     def __init__(self, master_seed: int, run_lo: int):
         self._tmpl = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         self._gen = np.random.Generator(self._tmpl)
-        self._lo = run_lo
+        self._run_lo = self._lo = run_lo
         self._drawn = 0
         # one reusable state of plain ints: the setter copies it in, and
         # reads of list items are cheaper than of numpy arrays
@@ -186,8 +210,13 @@ class _ChunkStreams:
             "uinteger": 0,
         }
 
+    def seek(self, j: int, drawn: int) -> None:
+        """Make the next fill serve run run_lo + j alone, from its draw `drawn` on."""
+        self._lo = self._run_lo + j
+        self._drawn = drawn
+
     def fill(self, out: np.ndarray, nb: int) -> None:
-        """Fill out[j, :nb] with the next nb uniforms of each run j."""
+        """Fill out[j, :nb] with the next nb uniforms of the j-th run served."""
         if self._drawn % 4:
             raise ValueError(
                 f"cannot resume Philox streams after {self._drawn} draws: "
@@ -254,24 +283,30 @@ def _simulate_chunk(
         return _cut_points(p, q, r, w, float(b + n - lo), sm, nz)
 
     # Without a window M_n stops changing once b reaches b(n_max): from the
-    # step that first reads it on, every run's thresholds are constant, so
-    # the rest of the walk is stepped in one vectorized pass per time block.
+    # step that first reads it on, every run's thresholds are constant.  Time
+    # blocks stop at the head, the steps before the freeze step rounded up to
+    # whole Philox blocks, when a tail of _TIME_BLOCK steps or more is left
+    # to be drawn and counted one run at a time.
     k_freeze = n_max + 1
+    head = n_max
     if not win_max:
         k_freeze = 2 + bisect.bisect_left(range(1, n_max), b_max,
                                           key=lambda j: schedule.split(j)[0])
+        tail_from = -(-(k_freeze - 1) // 4) * 4
+        if n_max - tail_from >= _TIME_BLOCK:
+            head = tail_from
     frozen = None
 
-    uniforms = np.empty((count, min(_TIME_BLOCK, n_max)))
-    tile = np.empty((min(_TILE, n_max), count))
+    uniforms = np.empty((count, min(_TIME_BLOCK, head)))
+    tile = np.empty((min(_TILE, head), count))
     lt = np.empty(count, dtype=bool)
     ge = np.empty(count, dtype=bool)
     x = np.empty(count, dtype=np.int8)
     xf = np.empty(count)
     nzf = np.empty(count)
     done = 0
-    while done < n_max:
-        nb = min(_TIME_BLOCK, n_max - done)
+    while done < head:
+        nb = min(_TIME_BLOCK, head - done)
         streams.fill(uniforms, nb)
         # per-step stepping reads one time slice at a time: copy the block's
         # per-step part into time-major tiles so each slice is contiguous
@@ -324,11 +359,10 @@ def _simulate_chunk(
                     record(k)
         if stepped < nb:
             if frozen is None:
-                t1, t2 = thresholds()
-                frozen = t1[:, None], t2[:, None]
+                frozen = thresholds()
             u = uniforms[:, stepped:nb]
-            plus = u < frozen[0]
-            minus = u >= frozen[1]
+            plus = u < frozen[0][:, None]
+            minus = u >= frozen[1][:, None]
             i0 = 0
             for c in [c for c in grid if done + stepped < c < done + nb] + [done + nb]:
                 i1 = c - done - stepped
@@ -340,7 +374,70 @@ def _simulate_chunk(
                     record(c)
                 i0 = i1
         done += nb
+    if head == n_max:
+        return out
+
+    # The frozen tail: each run resumes its stream at draw `head` and is drawn
+    # in pieces of _TAIL_BLOCK into one reused buffer, which stays in cache.
+    # A piece is compared and counted per segment between checkpoints; the
+    # pieces and their segments are the same for every run, so their views
+    # are cut once.  Counts are added to (S, N*) segment by segment after.
+    t1, t2 = frozen if frozen is not None else thresholds()
+    ends = [c for c in grid if head < c < n_max] + [n_max]
+    buf = np.empty((1, min(_TAIL_BLOCK, n_max - head)))
+    tail_lt = np.empty(buf.shape[1], dtype=bool)
+    tail_ge = np.empty(buf.shape[1], dtype=bool)
+    pieces = []
+    for p0 in range(head, n_max, _TAIL_BLOCK):
+        nb = min(_TAIL_BLOCK, n_max - p0)
+        cuts = [0] + [c - p0 for c in ends if p0 < c < p0 + nb] + [nb]
+        pieces.append((nb, buf[0, :nb], tail_lt[:nb], tail_ge[:nb],
+                       [(bisect.bisect_left(ends, p0 + i1), tail_lt[i0:i1], tail_ge[i0:i1])
+                        for i0, i1 in zip(cuts, cuts[1:])]))
+    n_plus = np.zeros((len(ends), count), dtype=np.int64)
+    n_minus = np.zeros((len(ends), count), dtype=np.int64)
+    count_nonzero = np.count_nonzero
+    for j, (t1j, t2j) in enumerate(zip(t1.tolist(), t2.tolist())):
+        streams.seek(j, head)
+        for nb, u, lt_u, ge_u, parts in pieces:
+            streams.fill(buf, nb)
+            np.less(u, t1j, out=lt_u)
+            np.greater_equal(u, t2j, out=ge_u)
+            for s, lt_s, ge_s in parts:
+                n_plus[s, j] += count_nonzero(lt_s)
+                n_minus[s, j] += count_nonzero(ge_s)
+    for c, up, down in zip(ends, n_plus, n_minus):
+        S += up - down
+        nstar += up + down
+        record(c)
     return out
+
+
+def simulate_paths(
+    params: WalkParams,
+    schedule: MemorySchedule,
+    n_max: int,
+    checkpoints: Sequence[int],
+    master_seed: int,
+    run_lo: int,
+    run_hi: int,
+) -> list[Trajectory]:
+    """Runs [run_lo, run_hi) of the ensemble keyed by master_seed, as trajectories.
+
+    They are simulated as one chunk, so each path is the same run of any
+    ensemble with that seed, bit for bit.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if run_hi <= run_lo:
+        raise ValueError("need run_lo < run_hi")
+    grid = tuple(sorted(set(int(c) for c in checkpoints)))
+    if not grid or grid[0] < 1 or grid[-1] > n_max:
+        raise ValueError("checkpoints must be a nonempty subset of [1, n_max]")
+    chunk = _simulate_chunk(params, schedule, grid, master_seed, run_lo, run_hi)
+    return [Trajectory(tuple((k, int(chunk[k][0][j]), int(chunk[k][1][j])) for k in grid),
+                       params, schedule)
+            for j in range(run_hi - run_lo)]
 
 
 def simulate_path(
@@ -351,19 +448,18 @@ def simulate_path(
     master_seed: int,
     run_index: int,
 ) -> Trajectory:
-    """Run run_index of the ensemble keyed by master_seed, as one trajectory.
+    """Run run_index of the ensemble keyed by master_seed, as one trajectory."""
+    return simulate_paths(params, schedule, n_max, checkpoints, master_seed,
+                          run_index, run_index + 1)[0]
 
-    This is the chunk kernel over the single run [run_index, run_index + 1),
-    so the path is the same run of any ensemble with that seed, bit for bit.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    grid = tuple(sorted(set(int(c) for c in checkpoints)))
-    if not grid or grid[0] < 1 or grid[-1] > n_max:
-        raise ValueError("checkpoints must be a nonempty subset of [1, n_max]")
-    chunk = _simulate_chunk(params, schedule, grid, master_seed, run_index, run_index + 1)
-    return Trajectory(tuple((k, int(chunk[k][0][0]), int(chunk[k][1][0])) for k in grid),
-                      params, schedule)
+
+def _chunk_bounds(runs: int, chunk_size: int, workers: int) -> list[int]:
+    """Cut [0, runs) into the fewest chunks of at most chunk_size runs whose
+    count is a multiple of workers (or is runs), with sizes that differ by at
+    most one; returns the chunk edges."""
+    chunks = -(-runs // chunk_size)
+    chunks = min(runs, -(-chunks // workers) * workers)
+    return [i * runs // chunks for i in range(chunks + 1)]
 
 
 def _chunk_task(args) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]:
@@ -423,7 +519,7 @@ def run_ensemble(
             f"({config.runs} runs x {n_max} steps), over the budget "
             f"{config.max_steps:.3g}; raise max_steps if this is intended"
         )
-    bounds = list(range(0, config.runs, config.chunk_size)) + [config.runs]
+    bounds = _chunk_bounds(config.runs, config.chunk_size, config.workers)
     tasks = [
         (i, params, schedule, config.n_grid, config.master_seed, lo, hi)
         for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))

@@ -1,8 +1,10 @@
 """Flag parsing, config files, validation errors, and end-to-end reports."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,9 +129,13 @@ def test_failing_target_gives_exit_one(capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports erwlab from this checkout's src, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "erwlab.cli", "oracle-compare", "--p", "0.7",
          "--n", "4", "--runs", "2000", "--seed", "1", "--tolerance", "0.05"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,8 @@ def test_config_validation():
         EnsembleConfig(runs=5, n_grid=())
     with pytest.raises(ValueError):
         EnsembleConfig(runs=5, n_grid=(0, 4))
+    with pytest.raises(ValueError):
+        EnsembleConfig(runs=5, n_grid=(4,), workers=0)
 
 
 def test_budget_refusal_mentions_estimate():
@@ -69,6 +72,20 @@ def test_worker_count_does_not_change_output():
     assert np.array_equal(s1.final_S, s8.final_S)
     assert np.array_equal(s1.final_Nstar, s8.final_Nstar)
     assert np.array_equal(s1.ecdf, s8.ecdf)
+
+
+@pytest.mark.parametrize("runs, chunk_size, workers, sizes", [
+    (10_000, 4096, 2, [2500] * 4),
+    (16_384, 4096, 2, [4096] * 4),
+    (500_000, 4096, 2, [4033] * 32 + [4032] * 92),
+    (2001, 137, 2, [125] * 15 + [126]),
+    (3, 4096, 8, [1] * 3),
+    (7, 3, 1, [2, 2, 3]),
+])
+def test_chunks_are_even_and_shared_by_the_workers(runs, chunk_size, workers, sizes):
+    bounds = ensemble._chunk_bounds(runs, chunk_size, workers)
+    assert bounds[0] == 0 and bounds[-1] == runs
+    assert sorted(np.diff(bounds).tolist()) == sorted(sizes)
 
 
 def test_chunk_size_does_not_change_samples():
@@ -94,6 +111,9 @@ def test_chunk_size_does_not_change_samples():
     MemorySchedule.first_fixed(2048),  # freezes on a time-block edge
     # m_n = 1, 1, 3: at n = 3 the window grows back over step 1
     MemorySchedule.last_increasing(GrowthRule(kind="log", c=2.8)),
+    # a 104-step head, 3 steps past the freeze step, then a streamed tail
+    # over _TIME_BLOCK with checkpoints 2100 and 2600 inside it
+    MemorySchedule.first_fixed(101),
 ])
 def test_vectorized_engine_reproduces_scalar_paths(schedule):
     # checkpoints inside and after the frozen pass are compared as well as the
@@ -147,6 +167,37 @@ def test_kernel_matches_reference_and_any_chunk_split(params, schedule, grid, se
         assert got == reference_path(params, schedule, grid, seed, run_lo + j), j
 
 
+@pytest.mark.parametrize("schedule", [
+    MemorySchedule.first_fixed(1),
+    MemorySchedule.first_fixed(9),
+    MemorySchedule.first_increasing(GrowthRule(kind="log", c=1.0)),
+    MemorySchedule.first_increasing(GrowthRule(c=1.5, beta=0.3)),
+])
+def test_streamed_tail_in_many_pieces_matches_reference(monkeypatch, schedule):
+    # small blocks put tails of several pieces, a last piece that is not a
+    # multiple of 4, and checkpoints on and between piece edges within reach
+    monkeypatch.setattr(ensemble, "_TIME_BLOCK", 16)
+    monkeypatch.setattr(ensemble, "_TAIL_BLOCK", 12)
+    grid = (3, 12, 20, 36, 37, 60, 97)
+    for params in (DELAYED, WalkParams(p=0.7, s=0.2)):
+        chunk = _simulate_chunk(params, schedule, grid, 2**63 + 5, 2**64 - 2, 2**64 + 2)
+        for i in range(4):
+            got = [(n, int(chunk[n][0][i]), int(chunk[n][1][i])) for n in grid]
+            assert got == reference_path(params, schedule, grid, 2**63 + 5, 2**64 - 2 + i), i
+
+
+def test_frozen_tail_streams_through_a_small_buffer():
+    # one 4096-run chunk used to hold a 64 MB time block and two 8 MB masks
+    tracemalloc.start()
+    try:
+        _simulate_chunk(WalkParams(p=0.6), MemorySchedule.first_fixed(100),
+                        (5000, 10_000), 3, 0, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_frozen_pass_starts_at_the_freeze_step(monkeypatch):
     # first-fixed(100) reads its final block from step 101 on: steps 2..100
     # need their own thresholds and every later step shares one set
@@ -188,6 +239,30 @@ def test_chunk_streams_refuse_resume_inside_philox_block():
     streams.fill(out, 6)
     with pytest.raises(ValueError, match="multiple of 4"):
         streams.fill(out, 4)
+    streams.seek(1, 6)
+    with pytest.raises(ValueError, match="multiple of 4"):
+        streams.fill(out, 4)
+
+
+@pytest.mark.parametrize("seed, run_lo", [
+    (2**63 + 12345, 0),
+    (2**64 - 1, 2**64 - 3),
+    (-7, 2**64 - 1),
+])
+def test_chunk_streams_seek_one_run(seed, run_lo):
+    # after a fill of every run, seek serves one run alone from a later draw,
+    # piece after piece, across key wrap-around
+    streams = _ChunkStreams(seed, run_lo)
+    streams.fill(np.empty((3, 8)), 8)
+    out = np.full((1, 16), np.nan)
+    for j in (2, 0, 1):
+        streams.seek(j, 12)
+        parts = []
+        for nb in (16, 4, 7):
+            streams.fill(out, nb)
+            parts.append(out[0, :nb].copy())
+        want = make_run_stream(seed, run_lo + j).random(12 + 27)[12:]
+        assert np.array_equal(np.concatenate(parts), want), j
 
 
 def test_ensemble_matches_enumeration_small():

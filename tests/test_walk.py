@@ -16,6 +16,7 @@ from erwlab import (
     make_run_stream,
     run_ensemble,
     simulate_path,
+    simulate_paths,
     step_distribution,
 )
 from reference import memory_view
@@ -341,6 +342,16 @@ def test_simulate_path_checkpoint_validation():
         simulate_path(params, MemorySchedule.full(), 10, [], 0, 0)
     with pytest.raises(ValueError):
         simulate_path(params, MemorySchedule.full(), 10, [11], 0, 0)
+    with pytest.raises(ValueError):
+        simulate_paths(params, MemorySchedule.full(), 10, [5], 0, 3, 3)
+
+
+def test_simulate_paths_are_the_same_runs_as_single_paths():
+    params = WalkParams(p=0.7)
+    for sched in (MemorySchedule.full(), MemorySchedule.first_fixed(3)):
+        paths = simulate_paths(params, sched, 3000, [10, 2500, 3000], 2024, 3, 8)
+        assert paths == [simulate_path(params, sched, 3000, [10, 2500, 3000], 2024, i)
+                         for i in range(3, 8)]
 
 
 def test_run_streams_are_independent_and_reproducible():
