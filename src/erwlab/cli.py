@@ -15,7 +15,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .ensemble import BudgetError, check_budget
 from .experiments import EXPERIMENTS, ExperimentReport, ExperimentSpec, run_experiment_by_name
+from .oracle import check_enumerable
 from .walk import GrowthRule, MemorySchedule, WalkParams
 
 __all__ = ["build_parser", "parse_and_validate", "run_experiment", "main"]
@@ -149,7 +151,9 @@ def parse_and_validate(
     """Resolve flags, config file, and defaults into a validated spec.
 
     Exits with status 2 through argparse for anything invalid, naming the
-    violated constraint in the message.
+    violated constraint in the message.  That includes a horizon above the
+    enumeration cap and an ensemble over the step budget, which would
+    otherwise fail only once the experiment runs.
     """
     parser = parser or build_parser()
     args = parser.parse_args(argv)
@@ -215,7 +219,13 @@ def parse_and_validate(
                 and params.delayed):
             raise ValueError("moments experiment on first-plus-recent needs r = 0 "
                              "(the delayed block moments are idealised)")
-    except ValueError as exc:
+        if experiment == "oracle-compare":
+            check_enumerable(params, settings["n"])
+        if experiment != "moments":
+            # every other experiment simulates runs x n steps per ensemble;
+            # moments only evaluates closed forms
+            check_budget(settings["runs"], settings["n"], settings["max_steps"])
+    except (ValueError, BudgetError) as exc:
         parser.error(str(exc))
     return ExperimentSpec(
         experiment=experiment,

@@ -30,6 +30,7 @@ __all__ = [
     "ExactPmf",
     "MomentReport",
     "EnumerationCapError",
+    "check_enumerable",
     "enumerate_pmf",
     "exact_moments_full",
     "exact_moments_increasing",
@@ -363,6 +364,21 @@ class ExactPmf:
             fh.write(f"{s},{nz},{p:.17g}\n")
 
 
+def check_enumerable(
+    params: WalkParams,
+    n: int,
+    cap_binary: int = ENUM_CAP_BINARY,
+    cap_ternary: int = ENUM_CAP_TERNARY,
+) -> None:
+    """Raise EnumerationCapError if horizon n is above the enumeration cap."""
+    cap = cap_ternary if params.delayed else cap_binary
+    if n > cap:
+        raise EnumerationCapError(
+            f"horizon {n} above the enumeration cap {cap} for "
+            f"{'ternary' if params.delayed else 'binary'} paths"
+        )
+
+
 def enumerate_pmf(
     params: WalkParams,
     schedule: MemorySchedule,
@@ -376,14 +392,9 @@ def enumerate_pmf(
     masses; masses per support point are accumulated with compensated sums.
     Capped at cap_binary steps for r = 0 and cap_ternary for r > 0.
     """
-    cap = cap_ternary if params.delayed else cap_binary
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > cap:
-        raise EnumerationCapError(
-            f"horizon {n} above the enumeration cap {cap} for "
-            f"{'ternary' if params.delayed else 'binary'} paths"
-        )
+    check_enumerable(params, n, cap_binary, cap_ternary)
     p, q, r = params.p, params.q, params.r
     acc: dict[tuple[int, int], list[float]] = {}  # (S, N*) -> [sum, compensation]
 

@@ -34,12 +34,21 @@ def test_parse_basic_clt_check():
     (["clt-check", "--n", "0"], "n >= 1"),
     ([], "no experiment"),
     (["moments", "--schedule", "first-plus-recent", "--r", "0.3"], "needs r = 0"),
+    (["oracle-compare", "--n", "40"], "enumeration cap 16"),
+    (["oracle-compare", "--r", "0.3", "--n", "11"], "enumeration cap 10"),
+    (["clt-check", "--schedule", "first-fixed", "--m", "100", "--n", "10000",
+      "--runs", "1000000"], "over the budget 5e+09"),
 ])
 def test_rejections_name_the_constraint(argv, fragment, capsys):
     with pytest.raises(SystemExit) as exc:
         parse_and_validate(argv)
     assert exc.value.code == 2
     assert fragment in capsys.readouterr().err
+
+
+def test_moments_runs_no_ensemble_so_has_no_step_budget():
+    spec = parse_and_validate(["moments"])
+    assert spec.runs * spec.n > spec.max_steps
 
 
 def test_unknown_flag_and_unknown_experiment():

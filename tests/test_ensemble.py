@@ -27,6 +27,7 @@ from erwlab import (
     run_ensemble,
     scale_factor,
     schedule_alpha,
+    simulate_path,
     summary_to_csv,
     total_variation,
     variance_standard_error,
@@ -99,7 +100,7 @@ def test_chunk_size_does_not_change_samples():
     assert _csv(a) == _csv(b)
 
 
-@pytest.mark.parametrize("schedule", [
+_ENGINE_SCHEDULES = [
     MemorySchedule.full(),
     MemorySchedule.first_increasing(),
     MemorySchedule.first_fixed(40),
@@ -114,7 +115,10 @@ def test_chunk_size_does_not_change_samples():
     # a 104-step head, 3 steps past the freeze step, then a streamed tail
     # over _TIME_BLOCK with checkpoints 2100 and 2600 inside it
     MemorySchedule.first_fixed(101),
-])
+]
+
+
+@pytest.mark.parametrize("schedule", _ENGINE_SCHEDULES)
 def test_vectorized_engine_reproduces_scalar_paths(schedule):
     # checkpoints inside and after the frozen pass are compared as well as the
     # last; 4103 ends on a partial Philox block, after a fill that resumes at
@@ -125,6 +129,25 @@ def test_vectorized_engine_reproduces_scalar_paths(schedule):
         for i in range(4):
             got = [(n, int(chunk[n][0][i]), int(chunk[n][1][i])) for n in grid]
             assert got == reference_path(params, schedule, grid, 77, i), (params, i)
+
+
+@pytest.mark.parametrize("schedule", _ENGINE_SCHEDULES)
+def test_batched_fills_reproduce_scalar_paths(monkeypatch, schedule):
+    # every time block of 16 uniforms is computed in numpy, slab by slab, so
+    # batched fills start the walk and land mid-walk; where no frozen tail is
+    # streamed run by run, the last one ends on a partial Philox block
+    monkeypatch.setattr(ensemble, "_SHORT_RUNS", 1)
+    monkeypatch.setattr(ensemble, "_SHORT_SLAB", 3)
+    monkeypatch.setattr(ensemble, "_TIME_BLOCK", 16)
+    batched = _batched_fills(monkeypatch)
+    grid = (3, 39, 41, 100, 203)
+    for params in (DELAYED, WalkParams(p=0.7, s=0.2)):
+        chunk = _simulate_chunk(params, schedule, grid, 2**63 + 77, 2**64 - 2, 2**64 + 2)
+        for i in range(4):
+            got = [(n, int(chunk[n][0][i]), int(chunk[n][1][i])) for n in grid]
+            want = reference_path(params, schedule, grid, 2**63 + 77, 2**64 - 2 + i)
+            assert got == want, (params, i)
+    assert batched
 
 
 _GROWTH = st.builds(GrowthRule, kind=st.sampled_from(["power", "log"]),
@@ -263,6 +286,102 @@ def test_chunk_streams_seek_one_run(seed, run_lo):
             parts.append(out[0, :nb].copy())
         want = make_run_stream(seed, run_lo + j).random(12 + 27)[12:]
         assert np.array_equal(np.concatenate(parts), want), j
+
+
+def _batched_fills(monkeypatch) -> list[tuple[int, int]]:
+    """Record (runs, nb) of every fill computed by _philox_uniforms."""
+    calls = []
+    philox_uniforms = ensemble._philox_uniforms
+
+    def spy(out, nb, *args):
+        calls.append((len(out), nb))
+        return philox_uniforms(out, nb, *args)
+
+    monkeypatch.setattr(ensemble, "_philox_uniforms", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [12345, 2**63 + 12345, -7])
+@pytest.mark.parametrize("run_lo", [0, 2**64 - 4])
+@pytest.mark.parametrize("drawn", [0, 4, 2048])
+@pytest.mark.parametrize("nb", [1, 3, 4, 12, ensemble._SHORT_FILL])
+def test_batched_fill_matches_run_streams(monkeypatch, seed, run_lo, drawn, nb):
+    # 7 runs in slabs of at most 3, whose keys wrap past 2^64 - 1 inside the
+    # fill when run_lo = 2^64 - 4; the streams resume at `drawn` first
+    monkeypatch.setattr(ensemble, "_SHORT_RUNS", 7)
+    monkeypatch.setattr(ensemble, "_SHORT_SLAB", 3)
+    calls = _batched_fills(monkeypatch)
+    streams = _ChunkStreams(seed, run_lo)
+    if drawn:
+        streams.fill(np.empty((7, drawn)), drawn)
+    out = np.full((7, ensemble._SHORT_FILL + 2), np.nan)
+    streams.fill(out, nb)
+    assert calls[-1] == (7, nb)
+    for j in range(7):
+        want = make_run_stream(seed, run_lo + j).random(drawn + nb)[drawn:]
+        assert np.array_equal(out[j, :nb], want), j
+    assert np.isnan(out[:, nb:]).all()
+
+
+def test_short_fills_of_many_runs_are_batched(monkeypatch):
+    # the default thresholds: a 12-draw fill of _SHORT_RUNS runs is batched,
+    # one run fewer or one draw over _SHORT_FILL is not
+    calls = _batched_fills(monkeypatch)
+    runs = ensemble._SHORT_RUNS
+    _ChunkStreams(5, 0).fill(np.empty((runs - 1, 12)), 12)
+    _ChunkStreams(5, 0).fill(np.empty((runs, 64)), ensemble._SHORT_FILL + 1)
+    assert calls == []
+    out = np.empty((runs, 12))
+    _ChunkStreams(5, 2**64 - 1).fill(out, 12)
+    assert calls == [(runs, 12)]
+    for j in (0, 1, runs - 1):
+        assert np.array_equal(out[j], make_run_stream(5, 2**64 - 1 + j).random(12)), j
+
+
+def test_batched_fill_refuses_resume_inside_philox_block(monkeypatch):
+    monkeypatch.setattr(ensemble, "_SHORT_RUNS", 2)
+    calls = _batched_fills(monkeypatch)
+    streams = _ChunkStreams(5, 0)
+    out = np.empty((2, 8))
+    streams.fill(out, 6)
+    assert calls == [(2, 6)]
+    with pytest.raises(ValueError, match="multiple of 4"):
+        streams.fill(out, 4)
+    assert calls == [(2, 6)]
+
+
+def test_one_run_fills_are_never_batched(monkeypatch):
+    # a single path is a chunk of one run, below _SHORT_RUNS; a run's frozen
+    # tail is drawn through seek, one run at a time, even where a fill of a
+    # single run would otherwise qualify, while the head's fill of the whole
+    # chunk is batched
+    monkeypatch.setattr(ensemble, "_TIME_BLOCK", 16)
+    monkeypatch.setattr(ensemble, "_TAIL_BLOCK", 12)
+    calls = _batched_fills(monkeypatch)
+    simulate_path(WalkParams(p=0.7), MemorySchedule.first_increasing(), 40, (12, 40), 7, 3)
+    assert calls == []
+    monkeypatch.setattr(ensemble, "_SHORT_RUNS", 1)
+    seeks = []
+    seek = _ChunkStreams.seek
+    monkeypatch.setattr(_ChunkStreams, "seek",
+                        lambda self, j, drawn: (seeks.append(j), seek(self, j, drawn)))
+    _simulate_chunk(WalkParams(p=0.7), MemorySchedule.first_fixed(9), (3, 12, 97), 7, 0, 4)
+    assert seeks == [0, 1, 2, 3]
+    assert calls == [(4, 12)]
+
+
+def test_batched_fill_scratch_is_bounded():
+    # 4096 runs are filled in slabs through ten reused buffers: about 240 KB,
+    # where the whole chunk's lanes would take about 1 MB
+    out = np.empty((4096, 12))
+    streams = _ChunkStreams(3, 0)
+    tracemalloc.start()
+    try:
+        streams.fill(out, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
 
 
 def test_ensemble_matches_enumeration_small():
