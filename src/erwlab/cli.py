@@ -2,10 +2,14 @@
 
 Usage:  erwlab EXPERIMENT [flags]   or   erwlab --config FILE [flags]
 
-Flags override config-file values; the config file is flat key=value text
-with the same names as the long flags.  Every run is reproducible from its
-flags plus the seed, prints one PASS/FAIL line per verification target, and
-exits 0 only if every target passed.
+The config file is flat key=value text whose keys are the long-flag names
+(max_steps may be written for max-steps).  Each line is read as the flag
+--key=value in front of the command line, so config values are checked
+exactly like flags, and a flag on the command line wins over the file.
+What an experiment needs and its default scale come from its record in
+experiments.EXPERIMENTS.  Every run is reproducible from its flags plus the
+seed, prints one PASS/FAIL line per verification target, and exits 0 only
+if every target passed.
 """
 
 from __future__ import annotations
@@ -15,59 +19,19 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .ensemble import BudgetError, check_budget
+from .ensemble import BudgetError
 from .experiments import EXPERIMENTS, ExperimentReport, ExperimentSpec, run_experiment_by_name
-from .oracle import check_enumerable
 from .walk import GrowthRule, MemorySchedule, WalkParams
 
 __all__ = ["build_parser", "parse_and_validate", "run_experiment", "main"]
-
-_SCHEDULES = (
-    "full",
-    "first-fixed",
-    "first-increasing",
-    "first-plus-recent",
-    "last-fixed",
-    "last-increasing",
-)
-
-_DEFAULTS = {
-    "p": None,
-    "q": None,
-    "r": 0.0,
-    "s": None,
-    "beta": 0.5,
-    "c": 1.0,
-    "alpha": 0.0,
-    "m": 0,
-    "k": 1,
-    "n": None,
-    "runs": None,
-    "seed": 12345,
-    "schedule": "first-increasing",
-    "format": "csv",
-    "threads": 1,
-    "tolerance": None,
-    "max_steps": 5_000_000_000,
-}
-
-# desk-scale defaults per experiment: (horizon, runs)
-_SCALES = {
-    "oracle-compare": (10, 1_000_000),
-    "moments": (1_000_000, 10_000),
-    "clt-check": (10_000, 20_000),
-    "delayed": (10_000, 10_000),
-    "zeros": (10_000, 10_000),
-    "alpha-regime": (100_000, 10_000),
-    "recent-augmented": (10_000, 20_000),
-    "conjecture-probe": (100_000, 10_000),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="erwlab",
         description="Verification experiments for memory-limited elephant random walks.",
+        epilog="A --config file holds key=value lines whose keys are the long-flag "
+               "names; they are checked like flags, and command-line flags win.",
     )
     parser.add_argument("experiment", nargs="?", choices=sorted(EXPERIMENTS),
                         help="experiment to run (or set experiment= in the config file)")
@@ -78,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="repeat probability, 0 < p < 1 (default 0.6, or (1-r)/2 "
                              "for delayed runs)")
     parser.add_argument("--q", type=float, help="flip probability (default 1 - p - r)")
-    parser.add_argument("--r", type=float, help="stay-put probability (default 0)")
+    parser.add_argument("--r", type=float, default=0.0, help="stay-put probability (default 0)")
     parser.add_argument("--s", type=float, help="P(first step = +1) when r = 0 (default p)")
     parser.add_argument("--beta", type=float, help="memory growth exponent (0 < beta <= 1)")
     parser.add_argument("--c", type=float, help="memory growth prefactor (> 0)")
@@ -88,60 +52,54 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--k", type=int, help="number of recent steps in the augmented memory")
     parser.add_argument("--n", type=int, help="horizon")
     parser.add_argument("--runs", type=int, help="number of independent runs")
-    parser.add_argument("--seed", type=int, help="master seed (64-bit)")
-    parser.add_argument("--schedule", choices=_SCHEDULES, help="memory schedule variant")
+    parser.add_argument("--seed", type=int, default=12345, help="master seed (64-bit)")
+    parser.add_argument("--schedule", choices=tuple(MemorySchedule._READS),
+                        help="memory schedule variant")
     parser.add_argument("--out", type=Path, help="report file (defaults to stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), dest="fmt",
+    parser.add_argument("--format", choices=("csv", "json"), dest="fmt", default="csv",
                         help="report format (default csv)")
-    parser.add_argument("--threads", type=int, help="worker processes for ensembles")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker processes for ensembles")
     parser.add_argument("--tolerance", type=float, help="override the main verdict tolerance")
-    parser.add_argument("--max-steps", type=int, dest="max_steps",
+    parser.add_argument("--max-steps", type=int, dest="max_steps", default=5_000_000_000,
                         help="ensemble step budget (refuse larger requests)")
     return parser
 
 
-def _read_config(path: Path) -> dict:
-    values: dict = {}
+def _config_flags(path: Path, parser: argparse.ArgumentParser) -> list[str]:
+    """Each key=value line of a config file as the flag --key=value."""
+    flags = []
     for lineno, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
+        key, _, val = (part.strip() for part in line.partition("="))
+        flag = "--" + key.replace("_", "-")
+        # whole long-flag names only: no abbreviations, no nested config
+        if flag == "--config" or flag not in parser._option_string_actions:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        flags.append(f"{flag}={val}")
+    return flags
 
 
-_CONFIG_TYPES = {
-    "p": float, "q": float, "r": float, "s": float, "beta": float, "c": float,
-    "alpha": float, "m": int, "k": int, "n": int, "runs": int, "seed": int,
-    "threads": int, "tolerance": float, "max_steps": int,
-    "schedule": str, "experiment": str, "format": str, "out": str,
-}
+def _schedule(variant: str, given: dict) -> MemorySchedule:
+    """MemorySchedule(variant, **the fields whose flags were given).
 
-
-def _build_schedule(experiment: str, settings: dict) -> MemorySchedule:
-    variant = settings["schedule"]
-    alpha = settings["alpha"]
-    if alpha:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"need 0 < alpha <= 1, got alpha={alpha}")
-        settings = dict(settings, beta=1.0, c=alpha)
-    growth = GrowthRule(kind="power", c=settings["c"], beta=settings["beta"])
-    if variant == "full":
-        return MemorySchedule.full()
-    if variant == "first-fixed":
-        return MemorySchedule.first_fixed(settings["m"])
-    if variant == "first-increasing":
-        return MemorySchedule.first_increasing(growth)
-    if variant == "first-plus-recent":
-        if settings["m"]:
-            return MemorySchedule.first_plus_recent(m=settings["m"], recent=settings["k"])
-        return MemorySchedule.first_plus_recent(growth=growth, recent=settings["k"])
-    if variant == "last-fixed":
-        return MemorySchedule.last_fixed(settings["m"] or 10)
-    return MemorySchedule.last_increasing(growth)
+    A field the variant reads and no flag gave takes its default: one recent
+    step; the growth rule c = 1, beta = 0.5 unless m was given; otherwise a
+    block or window of m = 10.
+    """
+    reads = MemorySchedule._READS[variant]
+    fields = {name: value for name, value in given.items() if value is not None}
+    if "recent" in reads:
+        fields.setdefault("recent", 1)
+    if "growth" in reads and "m" not in fields:
+        fields.setdefault("growth", GrowthRule())
+    elif "m" in reads:
+        fields.setdefault("m", 10)
+    return MemorySchedule(variant, **fields)
 
 
 def parse_and_validate(
@@ -151,96 +109,55 @@ def parse_and_validate(
     """Resolve flags, config file, and defaults into a validated spec.
 
     Exits with status 2 through argparse for anything invalid, naming the
-    violated constraint in the message.  That includes a horizon above the
-    enumeration cap and an ensemble over the step budget, which would
-    otherwise fail only once the experiment runs.
+    violated constraint in the message.  That includes every need the
+    experiment's record declares (ExperimentSpec checks them), a horizon
+    above the enumeration cap and an ensemble over the step budget, which
+    would otherwise fail only once the experiment runs.
     """
     parser = parser or build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    settings = dict(_DEFAULTS)
-    out_path = None
+    # on the command line --experiment wins over the positional name
+    experiment = args.experiment_flag or args.experiment
     try:
         if args.config is not None:
-            for key, raw in _read_config(args.config).items():
-                if key == "out":
-                    out_path = Path(raw)
-                    continue
-                if key not in _CONFIG_TYPES:
-                    raise ValueError(f"unknown config key {key!r}")
-                settings[key] = _CONFIG_TYPES[key](raw)
-        for key in ("p", "q", "r", "s", "beta", "c", "alpha", "m", "k", "n", "runs",
-                    "seed", "schedule", "threads", "tolerance", "max_steps"):
-            val = getattr(args, key)
-            if val is not None:
-                settings[key] = val
-        if args.fmt is not None:
-            settings["format"] = args.fmt
-        if args.out is not None:
-            out_path = args.out
-        experiment = args.experiment_flag or args.experiment or settings.get("experiment")
+            args = parser.parse_args(_config_flags(args.config, parser) + argv)
+            experiment = experiment or args.experiment_flag
         if not experiment:
             raise ValueError("no experiment given (positional, --experiment, or config)")
-        if experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {experiment!r}")
-        scale_n, scale_runs = _SCALES[experiment]
-        if settings["n"] is None:
-            settings["n"] = scale_n
-        if settings["runs"] is None:
-            settings["runs"] = scale_runs
-        if settings["p"] is None:
-            # split the moving probability evenly for delayed runs
-            settings["p"] = (1.0 - settings["r"]) / 2.0 if settings["r"] > 0.0 else 0.6
-        if settings["n"] < 1:
-            raise ValueError(f"need n >= 1, got n={settings['n']}")
-        if settings["runs"] < 1:
-            raise ValueError(f"need runs >= 1, got runs={settings['runs']}")
-        if settings["threads"] < 1:
-            raise ValueError(f"need threads >= 1, got threads={settings['threads']}")
+        need = EXPERIMENTS[experiment]
+        r = args.r
         params = WalkParams(
-            p=settings["p"],
-            q=-1.0 if settings["q"] is None else settings["q"],
-            r=settings["r"],
-            s=-1.0 if settings["s"] is None else settings["s"],
+            # split the moving probability evenly for delayed runs
+            p=args.p if args.p is not None else ((1.0 - r) / 2.0 if r > 0.0 else 0.6),
+            q=-1.0 if args.q is None else args.q,
+            r=r,
+            s=-1.0 if args.s is None else args.s,
         )
-        if experiment in ("zeros", "delayed") and not params.delayed:
-            raise ValueError(f"{experiment} experiment needs 0 < r < 1, got r={params.r}")
-        if experiment == "clt-check" and params.drift > 0.5:
-            raise ValueError(
-                "clt-check needs a diffusive or critical regime (the limit law "
-                "above the boundary has no closed form); run the moments experiment"
-            )
-        if experiment == "alpha-regime":
-            if params.delayed:
-                raise ValueError("alpha-regime supports r = 0 only")
-            if not settings["alpha"]:
-                raise ValueError("alpha-regime needs --alpha in (0, 1]")
-        schedule = _build_schedule(experiment, settings)
-        if (experiment == "moments" and schedule.variant == "first-plus-recent"
-                and params.delayed):
-            raise ValueError("moments experiment on first-plus-recent needs r = 0 "
-                             "(the delayed block moments are idealised)")
-        if experiment == "oracle-compare":
-            check_enumerable(params, settings["n"])
-        if experiment != "moments":
-            # every other experiment simulates runs x n steps per ensemble;
-            # moments only evaluates closed forms
-            check_budget(settings["runs"], settings["n"], settings["max_steps"])
+        alpha, growth = args.alpha or 0.0, None
+        if alpha > 0.0:
+            growth = GrowthRule(c=alpha, beta=1.0)
+        elif args.c is not None or args.beta is not None:
+            growth = GrowthRule(c=1.0 if args.c is None else args.c,
+                                beta=0.5 if args.beta is None else args.beta)
+        schedule = _schedule(args.schedule or need.schedules[0],
+                             {"m": args.m, "recent": args.k, "growth": growth})
+        return ExperimentSpec(
+            experiment=experiment,
+            params=params,
+            schedule=schedule,
+            n=need.n if args.n is None else args.n,
+            runs=need.runs if args.runs is None else args.runs,
+            seed=args.seed,
+            workers=args.threads,
+            tolerance=args.tolerance,
+            alpha=alpha,
+            max_steps=args.max_steps,
+            fmt=args.fmt,
+            out=None if args.out is None else str(args.out),
+        )
     except (ValueError, BudgetError) as exc:
         parser.error(str(exc))
-    return ExperimentSpec(
-        experiment=experiment,
-        params=params,
-        schedule=schedule,
-        n=settings["n"],
-        runs=settings["runs"],
-        seed=settings["seed"],
-        workers=settings["threads"],
-        tolerance=settings["tolerance"],
-        alpha=settings["alpha"],
-        max_steps=settings["max_steps"],
-        fmt=settings["format"],
-        out=str(out_path) if out_path is not None else None,
-    )
 
 
 def run_experiment(spec: ExperimentSpec) -> tuple[ExperimentReport, int]:

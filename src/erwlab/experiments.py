@@ -6,6 +6,12 @@ PASS/FAIL verdicts.  Monte Carlo parts simulate the per-horizon family
 (block frozen at m_n for horizon n) because that is the family the limit
 statements describe; the per-step growing walk is available for side-by-side
 reporting but is never asserted against the limits.
+
+EXPERIMENTS is the one place that says what each experiment needs: its
+desk-scale horizon and run count, r > 0 or r = 0, the largest drift, whether
+it needs alpha, the schedule variants it can run, and whether it enumerates
+or simulates.  ExperimentSpec checks every spec against that record, so a
+spec from the command line and one built in Python are refused alike.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import numpy as np
 
 from .ensemble import (
     EnsembleConfig,
+    check_budget,
     ks_statistic,
     moment_convergence_table,
     run_ensemble,
@@ -38,6 +45,7 @@ from .limits import (
     zeros_limit_mean,
 )
 from .oracle import (
+    check_enumerable,
     enumerate_pmf,
     exact_mean_nonzeros,
     exact_moments_increasing,
@@ -48,6 +56,8 @@ from .walk import MemorySchedule, WalkParams
 __all__ = [
     "Verdict",
     "ExperimentReport",
+    "ExperimentSpec",
+    "Experiment",
     "EXPERIMENTS",
     "run_experiment_by_name",
 ]
@@ -146,7 +156,11 @@ def _fmt(x) -> str:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Fully resolved experiment request, including report destination."""
+    """Fully resolved experiment request, including report destination.
+
+    Refused with ValueError (BudgetError over the step budget) unless it
+    meets its experiment's record in EXPERIMENTS.
+    """
 
     experiment: str
     params: WalkParams
@@ -161,12 +175,44 @@ class ExperimentSpec:
     fmt: str = "csv"
     out: Optional[str] = None
 
-    def config(self, n: Optional[int] = None, runs: Optional[int] = None,
-               statistic: str = "sqrt(m)/n", grid: Optional[tuple[int, ...]] = None,
-               ) -> EnsembleConfig:
+    def __post_init__(self):
+        need = EXPERIMENTS.get(self.experiment)
+        if need is None:
+            raise ValueError(f"unknown experiment {self.experiment!r}; "
+                             f"choose from {sorted(EXPERIMENTS)}")
+        name, params, variant = self.experiment, self.params, self.schedule.variant
+        if self.n < 1:
+            raise ValueError(f"need n >= 1, got n={self.n}")
+        if self.runs < 1:
+            raise ValueError(f"need runs >= 1, got runs={self.runs}")
+        if self.workers < 1:
+            raise ValueError(f"need threads >= 1, got threads={self.workers}")
+        if need.delayed is not None and params.delayed != need.delayed:
+            wanted = "0 < r < 1" if need.delayed else "r = 0"
+            raise ValueError(f"{name} experiment needs {wanted}, got r={params.r}")
+        if params.drift > need.max_drift:
+            raise ValueError(
+                f"{name} needs a diffusive or critical regime, p - q <= {need.max_drift:g} "
+                "(the limit law above the boundary has no closed form); run the moments "
+                "experiment")
+        if (need.needs_alpha or self.alpha) and not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"{name} needs 0 < alpha <= 1 (--alpha), got alpha={self.alpha}")
+        if variant not in need.schedules:
+            raise ValueError(f"{name} runs the schedules {', '.join(need.schedules)}, "
+                             f"not {variant}")
+        if name == "moments" and variant == "first-plus-recent" and params.delayed:
+            raise ValueError("moments experiment on first-plus-recent needs r = 0 "
+                             "(the delayed block moments are idealised)")
+        if need.enumerates:
+            check_enumerable(params, self.n)
+        if need.simulates:
+            check_budget(self.runs, self.n, self.max_steps)
+
+    def config(self, statistic: str = "sqrt(m)/n",
+               grid: Optional[tuple[int, ...]] = None) -> EnsembleConfig:
         return EnsembleConfig(
-            runs=runs or self.runs,
-            n_grid=grid or (n or self.n,),
+            runs=self.runs,
+            n_grid=grid or (self.n,),
             master_seed=self.seed,
             scaled_statistic=statistic,
             workers=self.workers,
@@ -298,8 +344,6 @@ def delayed(spec: ExperimentSpec) -> ExperimentReport:
     of degenerate paths estimates the atom r; the scaled sample is compared
     against the mixture distribution as a whole.
     """
-    if not spec.params.delayed:
-        raise ValueError("delayed experiment needs 0 < r < 1")
     tol_ks = spec.tolerance if spec.tolerance is not None else 0.06
     params = spec.params
     report = limit_moments(params, 0.0)
@@ -336,8 +380,6 @@ def zeros(spec: ExperimentSpec) -> ExperimentReport:
     no closed form here, so the empirical second moment is reported as data.
     """
     params = spec.params
-    if not params.delayed:
-        raise ValueError("zeros experiment needs 0 < r < 1")
     tol_exact = spec.tolerance if spec.tolerance is not None else 0.05
     tol_mc = max(0.10, tol_exact)
     target = zeros_limit_mean(params.r)
@@ -372,14 +414,11 @@ def alpha_regime(spec: ExperimentSpec) -> ExperimentReport:
     variance alone and the report carries empirical deciles of the scaled
     statistic as histogram-ready data.
     """
-    params = spec.params
-    alpha = spec.alpha if spec.alpha > 0.0 else schedule_alpha(spec.schedule)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha-regime needs alpha in (0, 1]")
+    params, alpha = spec.params, spec.alpha
     report = limit_moments(params, alpha)
     tol = spec.tolerance if spec.tolerance is not None else (0.05 if params.p == 0.5 else 0.10)
-    m = max(1, math.floor(alpha * spec.n))
-    frozen = MemorySchedule.first_fixed(m)
+    frozen = spec.schedule.frozen_at_horizon(spec.n)
+    m = frozen.m
     summary = run_ensemble(params, frozen, spec.config(statistic=report.normalization))
     st = summary.final_stats()
     rep = ExperimentReport("alpha-regime", _info(spec, alpha=alpha, m=m,
@@ -457,8 +496,6 @@ def conjecture_probe(spec: ExperimentSpec) -> ExperimentReport:
     params = spec.params
     tol = spec.tolerance if spec.tolerance is not None else 0.10
     sched = spec.schedule
-    if not sched.is_last_window:
-        sched = MemorySchedule.last_fixed(spec.schedule.m or 10)
     rep = ExperimentReport("conjecture-probe", _info(spec, window=sched.variant))
     if sched.variant == "last-fixed":
         target = window_variance_fixed_last_m(params.p, sched.m)
@@ -482,22 +519,46 @@ def conjecture_probe(spec: ExperimentSpec) -> ExperimentReport:
     return rep
 
 
-EXPERIMENTS: dict[str, Callable[[ExperimentSpec], ExperimentReport]] = {
-    "oracle-compare": oracle_compare,
-    "moments": moments,
-    "clt-check": clt_check,
-    "delayed": delayed,
-    "zeros": zeros,
-    "alpha-regime": alpha_regime,
-    "recent-augmented": recent_augmented,
-    "conjecture-probe": conjecture_probe,
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its pipeline, desk scale and what a spec must meet.
+
+    delayed: True needs 0 < r < 1, False needs r = 0, None takes either.
+    max_drift: the largest p - q the limit it checks covers.
+    schedules: the variants whose walk its verdict is about; the first is
+    the default.  enumerates/simulates: the spec must fit the enumeration
+    cap / the ensemble step budget.
+    """
+
+    run: Callable[[ExperimentSpec], ExperimentReport]
+    n: int
+    runs: int
+    schedules: tuple[str, ...]
+    delayed: Optional[bool] = None
+    max_drift: float = 1.0
+    needs_alpha: bool = False
+    enumerates: bool = False
+    simulates: bool = True
+
+
+# the horizon-frozen first block, whose per-horizon walk the limits describe
+_BLOCKS = ("first-increasing", "first-fixed", "first-plus-recent")
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "oracle-compare": Experiment(oracle_compare, 10, 1_000_000,
+                                 _BLOCKS + ("full", "last-fixed", "last-increasing"),
+                                 enumerates=True),
+    "moments": Experiment(moments, 1_000_000, 10_000, _BLOCKS + ("full",), simulates=False),
+    "clt-check": Experiment(clt_check, 10_000, 20_000, _BLOCKS, max_drift=0.5),
+    "delayed": Experiment(delayed, 10_000, 10_000, _BLOCKS, delayed=True),
+    "zeros": Experiment(zeros, 10_000, 10_000, _BLOCKS, delayed=True),
+    "alpha-regime": Experiment(alpha_regime, 100_000, 10_000, ("first-increasing",),
+                               delayed=False, needs_alpha=True),
+    "recent-augmented": Experiment(recent_augmented, 10_000, 20_000, _BLOCKS),
+    "conjecture-probe": Experiment(conjecture_probe, 100_000, 10_000,
+                                   ("last-fixed", "last-increasing")),
 }
 
 
 def run_experiment_by_name(spec: ExperimentSpec) -> ExperimentReport:
-    try:
-        fn = EXPERIMENTS[spec.experiment]
-    except KeyError:
-        raise ValueError(f"unknown experiment {spec.experiment!r}; "
-                         f"choose from {sorted(EXPERIMENTS)}") from None
-    return fn(spec)
+    return EXPERIMENTS[spec.experiment].run(spec)
