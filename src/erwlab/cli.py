@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"), dest="fmt", default="csv",
                         help="report format (default csv)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for ensembles")
+                        help="processes that simulate the ensemble, this one included")
     parser.add_argument("--tolerance", type=float, help="override the main verdict tolerance")
     parser.add_argument("--max-steps", type=int, dest="max_steps", default=5_000_000_000,
                         help="ensemble step budget (refuse larger requests)")

@@ -6,6 +6,12 @@ bit-reproducible whatever the chunking or worker count.  Chunks of runs are
 stepped together with vectorized state updates; the reducer assembles
 per-checkpoint samples in run order.
 
+With workers = k the calling process is one of the k processes that simulate
+chunks.  It starts k - 1 helpers (fewer if there are fewer chunks), each
+holding up to two chunks from the front of the list, one running and one
+queued, and runs chunks from the back itself, the last pending one always
+among them.  Results are stored by chunk index.
+
 Uniforms are drawn in time blocks of _TIME_BLOCK per run, a multiple of 4,
 into one run-major array (a row per run).  Between blocks a run's Philox4x64
 state is therefore just (key, counter = draws / 4) with an empty output
@@ -58,7 +64,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, TextIO
 
@@ -125,7 +131,11 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Ensemble shape: independent runs, checkpoint grid, seed, statistic tag."""
+    """Ensemble shape: independent runs, checkpoint grid, seed, statistic tag.
+
+    workers counts the processes that simulate chunks, the caller included:
+    run_ensemble starts at most workers - 1 helper processes.
+    """
 
     runs: int
     n_grid: tuple[int, ...]
@@ -601,6 +611,37 @@ def _chunk_task(args) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]:
     return idx, _simulate_chunk(params, schedule, grid, seed, lo, hi)
 
 
+def _run_chunks(tasks: list, workers: int) -> list[dict]:
+    """Each task's chunk result, by chunk index, from the caller and
+    min(workers, len(tasks)) - 1 helper processes.
+
+    Helpers take chunks from the front, two each at most (one running, one
+    queued), so none idles while the caller finishes a chunk; the caller
+    takes them from the back and keeps the last pending one for itself.
+    """
+    results: list[Optional[dict]] = [None] * len(tasks)
+    helpers = min(workers, len(tasks)) - 1
+    if helpers < 1:
+        for task in tasks:
+            idx, res = _chunk_task(task)
+            results[idx] = res
+        return results
+    pending, running = deque(tasks), set()
+    with ProcessPoolExecutor(max_workers=helpers) as pool:
+        while pending or running:
+            while len(pending) > 1 and len(running) < 2 * helpers:
+                running.add(pool.submit(_chunk_task, pending.popleft()))
+            if pending:
+                idx, res = _chunk_task(pending.pop())
+                results[idx] = res
+            done, running = wait(running, timeout=0 if pending else None,
+                                 return_when=FIRST_COMPLETED)
+            for future in done:
+                idx, res = future.result()
+                results[idx] = res
+    return results
+
+
 # ---------------------------------------------------------------------------
 # summaries
 # ---------------------------------------------------------------------------
@@ -653,8 +694,11 @@ def run_ensemble(
 ) -> EnsembleSummary:
     """Run the configured ensemble and summarise the scaled statistic.
 
-    Output is bit-identical for a fixed master seed regardless of the worker
-    count: runs own their streams and are reassembled in run order.
+    The calling process simulates chunks too, so config.workers processes
+    run in all: the caller and up to workers - 1 helpers, each helper holding
+    at most two chunks.  Output is bit-identical for a fixed master seed
+    regardless of the worker count: runs own their streams and are
+    reassembled in run order.
     """
     n_max = config.n_grid[-1]
     check_budget(config.runs, n_max, config.max_steps)
@@ -663,15 +707,7 @@ def run_ensemble(
         (i, params, schedule, config.n_grid, config.master_seed, lo, hi)
         for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
     ]
-    results: list[Optional[dict]] = [None] * len(tasks)
-    if config.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for idx, res in pool.map(_chunk_task, tasks, chunksize=1):
-                results[idx] = res
-    else:
-        for task in tasks:
-            idx, res = _chunk_task(task)
-            results[idx] = res
+    results = _run_chunks(tasks, config.workers)
 
     zeros_stat = config.scaled_statistic == "m^r/n"
     stats: list[CheckpointStats] = []

@@ -9,9 +9,10 @@ reporting but is never asserted against the limits.
 
 EXPERIMENTS is the one place that says what each experiment needs: its
 desk-scale horizon and run count, r > 0 or r = 0, the largest drift, whether
-it needs alpha, the schedule variants it can run, and whether it enumerates
-or simulates.  ExperimentSpec checks every spec against that record, so a
-spec from the command line and one built in Python are refused alike.
+it needs alpha or checks the alpha = 0 limits, the schedule variants it can
+run, and whether it enumerates or simulates.  ExperimentSpec checks every
+spec against that record, so a spec from the command line and one built in
+Python are refused alike.
 """
 
 from __future__ import annotations
@@ -200,6 +201,11 @@ class ExperimentSpec:
         if variant not in need.schedules:
             raise ValueError(f"{name} runs the schedules {', '.join(need.schedules)}, "
                              f"not {variant}")
+        block_alpha = schedule_alpha(self.schedule)
+        if need.alpha_zero and block_alpha > 0.0:
+            raise ValueError(f"{name} checks the alpha = 0 limits, but this block has "
+                             f"m_n/n -> {block_alpha:g} (--alpha, or --beta 1); run the "
+                             "alpha-regime experiment")
         if name == "moments" and variant == "first-plus-recent" and params.delayed:
             raise ValueError("moments experiment on first-plus-recent needs r = 0 "
                              "(the delayed block moments are idealised)")
@@ -525,6 +531,8 @@ class Experiment:
 
     delayed: True needs 0 < r < 1, False needs r = 0, None takes either.
     max_drift: the largest p - q the limit it checks covers.
+    alpha_zero: the limits it checks are those of m_n/n -> 0, so a block
+    growing as m_n = alpha n with alpha > 0 is refused.
     schedules: the variants whose walk its verdict is about; the first is
     the default.  enumerates/simulates: the spec must fit the enumeration
     cap / the ensemble step budget.
@@ -537,6 +545,7 @@ class Experiment:
     delayed: Optional[bool] = None
     max_drift: float = 1.0
     needs_alpha: bool = False
+    alpha_zero: bool = False
     enumerates: bool = False
     simulates: bool = True
 
@@ -549,12 +558,14 @@ EXPERIMENTS: dict[str, Experiment] = {
                                  _BLOCKS + ("full", "last-fixed", "last-increasing"),
                                  enumerates=True),
     "moments": Experiment(moments, 1_000_000, 10_000, _BLOCKS + ("full",), simulates=False),
-    "clt-check": Experiment(clt_check, 10_000, 20_000, _BLOCKS, max_drift=0.5),
-    "delayed": Experiment(delayed, 10_000, 10_000, _BLOCKS, delayed=True),
-    "zeros": Experiment(zeros, 10_000, 10_000, _BLOCKS, delayed=True),
+    "clt-check": Experiment(clt_check, 10_000, 20_000, _BLOCKS, max_drift=0.5,
+                            alpha_zero=True),
+    "delayed": Experiment(delayed, 10_000, 10_000, _BLOCKS, delayed=True, alpha_zero=True),
+    "zeros": Experiment(zeros, 10_000, 10_000, _BLOCKS, delayed=True, alpha_zero=True),
     "alpha-regime": Experiment(alpha_regime, 100_000, 10_000, ("first-increasing",),
                                delayed=False, needs_alpha=True),
-    "recent-augmented": Experiment(recent_augmented, 10_000, 20_000, _BLOCKS),
+    "recent-augmented": Experiment(recent_augmented, 10_000, 20_000, _BLOCKS,
+                                   alpha_zero=True),
     "conjecture-probe": Experiment(conjecture_probe, 100_000, 10_000,
                                    ("last-fixed", "last-increasing")),
 }

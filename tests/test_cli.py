@@ -55,6 +55,11 @@ def test_parse_basic_clt_check():
     (["clt-check", "--schedule", "full", "--m", "5"], "full schedules do not read m"),
     (["clt-check", "--schedule", "first-fixed", "--m", "5", "--beta", "0.7"],
      "first-fixed schedules do not read growth"),
+    # a block growing as m_n = alpha n where the experiment checks the alpha = 0 limits
+    (["clt-check", "--alpha", "0.5"], "clt-check checks the alpha = 0 limits"),
+    (["delayed", "--r", "0.3", "--alpha", "0.5"], "m_n/n -> 0.5"),
+    (["zeros", "--r", "0.3", "--beta", "1", "--c", "0.5"], "zeros checks the alpha = 0"),
+    (["recent-augmented", "--beta", "1", "--c", "2"], "m_n/n -> 1"),
 ])
 def test_rejections_name_the_constraint(argv, fragment, capsys):
     with pytest.raises(SystemExit) as exc:

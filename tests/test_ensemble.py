@@ -1,8 +1,13 @@
 """Ensemble engine: determinism, stream discipline, and fit statistics."""
 
+import contextlib
 import io
 import math
+import os
+import signal
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,14 +70,116 @@ def test_budget_refusal_mentions_estimate():
 
 
 def test_worker_count_does_not_change_output():
-    sched = MemorySchedule.first_increasing()
-    base = dict(runs=3000, n_grid=(40, 333), master_seed=99, chunk_size=512)
-    s1 = run_ensemble(DELAYED, sched, EnsembleConfig(workers=1, **base))
-    s8 = run_ensemble(DELAYED, sched, EnsembleConfig(workers=8, **base))
-    assert _csv(s1) == _csv(s8)
-    assert np.array_equal(s1.final_S, s8.final_S)
-    assert np.array_equal(s1.final_Nstar, s8.final_Nstar)
-    assert np.array_equal(s1.ecdf, s8.ecdf)
+    # first_fixed(100) freezes after a 100-step head, so the last checkpoint
+    # puts a streamed tail of over _TIME_BLOCK steps behind it
+    tail_n = 100 + ensemble._TIME_BLOCK + 50
+    cases = [
+        (MemorySchedule.first_increasing(), 3000, (40, 333), 512),
+        (MemorySchedule.first_fixed(100), 40, (1000, tail_n), 7),
+        (MemorySchedule.last_fixed(10), 300, (50, 300), 64),
+        # n = 12: every chunk is a batched short fill (checked below)
+        (MemorySchedule.first_increasing(), 3000, (5, 12), 512),
+        # fewer runs than workers
+        (MemorySchedule.last_fixed(10), 3, (20, 60), 4096),
+    ]
+    for workers in (1, 2, 3, 8):
+        assert min(np.diff(ensemble._chunk_bounds(3000, 512, workers))) >= ensemble._SHORT_RUNS
+    for sched, runs, grid, chunk_size in cases:
+        base = dict(runs=runs, n_grid=grid, master_seed=99, chunk_size=chunk_size)
+        s1 = run_ensemble(DELAYED, sched, EnsembleConfig(workers=1, **base))
+        for workers in (2, 3, 8):
+            sk = run_ensemble(DELAYED, sched, EnsembleConfig(workers=workers, **base))
+            assert _csv(s1) == _csv(sk), (sched.variant, workers)
+            assert np.array_equal(s1.final_S, sk.final_S)
+            assert np.array_equal(s1.final_Nstar, sk.final_Nstar)
+            assert np.array_equal(s1.ecdf, sk.ecdf)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Fail, rather than hang, if the block takes over `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _spy(monkeypatch) -> SimpleNamespace:
+    """Record what run_ensemble does in this process: the max_workers of each
+    pool it starts, the pool's futures not yet done at each submit, and the
+    first run of each chunk it simulates itself with the submits made by
+    then.  Helper processes record only in their own copy."""
+    log = SimpleNamespace(pools=[], in_flight=[], here=[])
+
+    class SpyPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            log.pools.append(max_workers)
+            self.futures = []
+            super().__init__(max_workers=max_workers, **kwargs)
+
+        def submit(self, fn, *args, **kwargs):
+            log.in_flight.append(sum(not f.done() for f in self.futures))
+            self.futures.append(super().submit(fn, *args, **kwargs))
+            return self.futures[-1]
+
+    simulate = ensemble._simulate_chunk
+
+    def spy(params, schedule, grid, seed, lo, hi):
+        log.here.append((lo, len(log.in_flight)))
+        return simulate(params, schedule, grid, seed, lo, hi)
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(ensemble, "_simulate_chunk", spy)
+    return log
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_caller_is_one_of_the_workers(monkeypatch, workers):
+    sched = MemorySchedule.last_fixed(5)
+    base = dict(runs=600, n_grid=(30,), master_seed=4, chunk_size=50)
+    alone = run_ensemble(DELAYED, sched, EnsembleConfig(workers=1, **base))
+    log = _spy(monkeypatch)
+    pooled = run_ensemble(DELAYED, sched, EnsembleConfig(workers=workers, **base))
+    helpers = workers - 1
+    assert log.pools == [helpers]
+    # each helper is handed two chunks from the front before the caller starts
+    # on the last one, and never holds more than two
+    edges = ensemble._chunk_bounds(600, 50, workers)
+    assert log.here[0] == (edges[-2], 2 * helpers)
+    assert max(log.in_flight) < 2 * helpers
+    assert _csv(alone) == _csv(pooled)
+
+
+@pytest.mark.parametrize("runs, workers", [(600, 1), (1, 4)])
+def test_no_pool_for_one_worker_or_one_chunk(monkeypatch, runs, workers):
+    log = _spy(monkeypatch)
+    cfg = EnsembleConfig(runs=runs, n_grid=(30,), master_seed=4, workers=workers,
+                         chunk_size=100)
+    run_ensemble(DELAYED, MemorySchedule.last_fixed(5), cfg)
+    assert log.pools == []
+    assert [lo for lo, _ in log.here] == ensemble._chunk_bounds(runs, 100, workers)[:-1]
+
+
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_a_failing_chunk_propagates(monkeypatch, where):
+    caller, simulate = os.getpid(), ensemble._simulate_chunk
+
+    def failing(params, schedule, grid, seed, lo, hi):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise RuntimeError(f"chunk [{lo}, {hi}) failed in the {where}")
+        return simulate(params, schedule, grid, seed, lo, hi)
+
+    # patched before run_ensemble forks its helpers, so they inherit it
+    monkeypatch.setattr(ensemble, "_simulate_chunk", failing)
+    cfg = EnsembleConfig(runs=400, n_grid=(30,), master_seed=4, workers=2, chunk_size=50)
+    with _deadline(60), pytest.raises(RuntimeError, match=f"failed in the {where}"):
+        run_ensemble(DELAYED, MemorySchedule.last_fixed(5), cfg)
 
 
 @pytest.mark.parametrize("runs, chunk_size, workers, sizes", [
