@@ -7,10 +7,16 @@ stepped together with vectorized state updates; the reducer assembles
 per-checkpoint samples in run order.
 
 With workers = k the calling process is one of the k processes that simulate
-chunks.  It starts k - 1 helpers (fewer if there are fewer chunks), each
-holding up to two chunks from the front of the list, one running and one
-queued, and runs chunks from the back itself, the last pending one always
-among them.  Results are stored by chunk index.
+chunks.  The pool's unit of work is the task: a contiguous range of whole
+chunks, at most 8k tasks in all (_TASKS_PER_WORKER), since a task per chunk
+pays the pool's queueing and pickling once per chunk, 124 times for 5 x 10^5
+runs of 12 steps.  The caller starts k - 1 helpers (fewer if there are fewer chunks), each holding
+up to two tasks from the front of the list, one running and one queued, and
+runs tasks from the back itself, the last pending one always among them.  A
+task simulates its chunks one by one and writes each chunk's S and N* at its
+offset into one array per checkpoint, in the narrowest signed integer dtype
+that holds -n_max..n_max (int8 up to n_max = 127); the reducer widens them
+to int64 in run order.
 
 Uniforms are drawn in time blocks of _TIME_BLOCK per run, a multiple of 4,
 into one run-major array (a row per run).  Between blocks a run's Philox4x64
@@ -65,7 +71,7 @@ import bisect
 import math
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
@@ -123,6 +129,13 @@ _SHORT_SLAB = 1024
 # would be 64 MB; the squares keep the strided reads of the copy within few
 # memory pages at a time, about 3x faster than one transposing copy.
 _TILE = 64
+
+# The pool's unit of work is a task of whole chunks; an ensemble of many
+# chunks is cut into at most this many tasks per worker.  On 124 chunks of a
+# 12-step walk at 2 workers a task per chunk spent 50 ms over a perfect split
+# in queueing and pickling; 4 or 8 tasks per worker took the same time, 16
+# slightly more, and 2 raised the helper's peak RSS from 33 to 40 MB.
+_TASKS_PER_WORKER = 8
 
 
 class BudgetError(RuntimeError):
@@ -375,6 +388,12 @@ def _philox_uniforms(out: np.ndarray, nb: int, key0: int, run_lo: int, counter: 
             np.multiply(word.T, _TO_UNIT, out=cols)
 
 
+def _count_dtype(n_max: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds -n_max..n_max."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).max >= n_max)
+
+
 def _simulate_chunk(
     params: WalkParams,
     schedule: MemorySchedule,
@@ -391,14 +410,16 @@ def _simulate_chunk(
     t1f, t2f = params.first_step_thresholds()
     streams = _ChunkStreams(master_seed, run_lo)
     # Running sums are float64 holding exact integers, so _cut_points reads
-    # them without casts; checkpoints are handed out as int64.
+    # them without casts; checkpoints are handed out in the narrowest signed
+    # integer dtype that holds -n_max..n_max.
     S = np.zeros(count)
     nstar = np.zeros(count)
     grid_set = set(grid)
+    dtype = _count_dtype(n_max)
     out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def record(k: int) -> None:
-        out[k] = (S.astype(np.int64), nstar.astype(np.int64))
+        out[k] = (S.astype(dtype), nstar.astype(dtype))
 
     # After step n the walk recalls M_n = {1..b} U {lo + 1..n}, where
     # (b, win) = split(n) and lo = max(b, n - win).  While b = n the block's
@@ -606,39 +627,46 @@ def _chunk_bounds(runs: int, chunk_size: int, workers: int) -> list[int]:
     return [i * runs // chunks for i in range(chunks + 1)]
 
 
-def _chunk_task(args) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]:
-    idx, params, schedule, grid, seed, lo, hi = args
-    return idx, _simulate_chunk(params, schedule, grid, seed, lo, hi)
+def _chunk_task(args) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Simulate the whole chunks between consecutive edges, one
+    _simulate_chunk call each; returns {checkpoint: (S, N*)} over runs
+    [edges[0], edges[-1]), each chunk written at its offset."""
+    params, schedule, grid, seed, edges = args
+    size, dtype = edges[-1] - edges[0], _count_dtype(grid[-1])
+    out = {k: (np.empty(size, dtype), np.empty(size, dtype)) for k in grid}
+    for lo, hi in zip(edges, edges[1:]):
+        chunk = _simulate_chunk(params, schedule, grid, seed, lo, hi)
+        for k, (S, nstar) in chunk.items():
+            out[k][0][lo - edges[0]:hi - edges[0]] = S
+            out[k][1][lo - edges[0]:hi - edges[0]] = nstar
+    return out
 
 
 def _run_chunks(tasks: list, workers: int) -> list[dict]:
-    """Each task's chunk result, by chunk index, from the caller and
+    """Each task's result, in task order, from the caller and
     min(workers, len(tasks)) - 1 helper processes.
 
-    Helpers take chunks from the front, two each at most (one running, one
-    queued), so none idles while the caller finishes a chunk; the caller
+    Helpers take tasks from the front, two each at most (one running, one
+    queued), so none idles while the caller finishes a task; the caller
     takes them from the back and keeps the last pending one for itself.
     """
-    results: list[Optional[dict]] = [None] * len(tasks)
     helpers = min(workers, len(tasks)) - 1
     if helpers < 1:
-        for task in tasks:
-            idx, res = _chunk_task(task)
-            results[idx] = res
-        return results
-    pending, running = deque(tasks), set()
+        return [_chunk_task(task) for task in tasks]
+    results: list[Optional[dict]] = [None] * len(tasks)
+    pending, running = deque(enumerate(tasks)), {}
     with ProcessPoolExecutor(max_workers=helpers) as pool:
         while pending or running:
             while len(pending) > 1 and len(running) < 2 * helpers:
-                running.add(pool.submit(_chunk_task, pending.popleft()))
+                i, task = pending.popleft()
+                running[pool.submit(_chunk_task, task)] = i
             if pending:
-                idx, res = _chunk_task(pending.pop())
-                results[idx] = res
-            done, running = wait(running, timeout=0 if pending else None,
-                                 return_when=FIRST_COMPLETED)
+                i, task = pending.pop()
+                results[i] = _chunk_task(task)
+            done, _ = wait(running, timeout=0 if pending else None,
+                           return_when=FIRST_COMPLETED)
             for future in done:
-                idx, res = future.result()
-                results[idx] = res
+                results[running.pop(future)] = future.result()
     return results
 
 
@@ -689,23 +717,43 @@ def check_budget(runs: int, n_max: int, max_steps: int) -> None:
         )
 
 
+def _third_moment(base: np.ndarray, factor: float, mu: float) -> float:
+    """((base * factor - mu)**3).mean() over an integer sample, bit for bit.
+
+    numpy's array power is elementwise and does not depend on an element's
+    position, so a sample that spans no more values than it holds cubes each
+    value once, in a table, and reads every cube from there.
+    """
+    lo, hi = int(base.min()), int(base.max())
+    if hi - lo + 1 > base.size:
+        return float(((base.astype(np.float64) * factor - mu) ** 3).mean())
+    table = (np.arange(lo, hi + 1).astype(np.float64) * factor - mu) ** 3
+    return float(table[base - lo].mean())
+
+
 def run_ensemble(
     params: WalkParams, schedule: MemorySchedule, config: EnsembleConfig
 ) -> EnsembleSummary:
     """Run the configured ensemble and summarise the scaled statistic.
 
-    The calling process simulates chunks too, so config.workers processes
-    run in all: the caller and up to workers - 1 helpers, each helper holding
-    at most two chunks.  Output is bit-identical for a fixed master seed
-    regardless of the worker count: runs own their streams and are
-    reassembled in run order.
+    The calling process simulates too, so config.workers processes run in
+    all: the caller and up to workers - 1 helpers.  The unit of work is a
+    task of whole chunks, at most _TASKS_PER_WORKER per worker, and each
+    helper holds at most two tasks.  Chunks hand back S and N* in the
+    narrowest integer dtype that holds +-n_max; final_S and final_Nstar are
+    int64.  Output is bit-identical for a fixed master seed regardless of
+    the worker count: runs own their streams and are reassembled in run
+    order.
     """
     n_max = config.n_grid[-1]
     check_budget(config.runs, n_max, config.max_steps)
     bounds = _chunk_bounds(config.runs, config.chunk_size, config.workers)
+    chunks = len(bounds) - 1
+    count = min(chunks, _TASKS_PER_WORKER * config.workers)
     tasks = [
-        (i, params, schedule, config.n_grid, config.master_seed, lo, hi)
-        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+        (params, schedule, config.n_grid, config.master_seed,
+         bounds[i * chunks // count:(i + 1) * chunks // count + 1])
+        for i in range(count)
     ]
     results = _run_chunks(tasks, config.workers)
 
@@ -715,8 +763,8 @@ def run_ensemble(
     final_S = np.empty(0, dtype=np.int64)
     final_N = np.empty(0, dtype=np.int64)
     for n in config.n_grid:
-        S = np.concatenate([res[n][0] for res in results])
-        nstar = np.concatenate([res[n][1] for res in results])
+        S = np.concatenate([res[n][0] for res in results], dtype=np.int64)
+        nstar = np.concatenate([res[n][1] for res in results], dtype=np.int64)
         m = schedule.block_size(n)
         factor = scale_factor(config.scaled_statistic, n, m, params)
         base = nstar if zeros_stat else S
@@ -725,7 +773,7 @@ def run_ensemble(
         var = float(scaled.var(ddof=1)) if scaled.size > 1 else 0.0
         centered = scaled - mu
         m2 = float((centered**2).mean())
-        m3 = float((centered**3).mean())
+        m3 = _third_moment(base, factor, mu)
         skew = m3 / m2**1.5 if m2 > 0.0 else 0.0
         degen = float((nstar == 0).mean())
         if params.r > 0.0:

@@ -38,7 +38,6 @@ from .ensemble import (
 from .limits import (
     LimitCdf,
     RegimeReport,
-    classify_regime,
     limit_cdf,
     limit_moments,
     window_variance_conjectured_limit,

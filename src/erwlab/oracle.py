@@ -24,7 +24,7 @@ from typing import Iterable, Optional, TextIO
 
 import numpy as np
 
-from .walk import GrowthRule, MemorySchedule, WalkParams
+from .walk import MemorySchedule, WalkParams
 
 __all__ = [
     "ExactPmf",

@@ -81,6 +81,8 @@ def test_worker_count_does_not_change_output():
         (MemorySchedule.first_increasing(), 3000, (5, 12), 512),
         # fewer runs than workers
         (MemorySchedule.last_fixed(10), 3, (20, 60), 4096),
+        # 94 or 96 chunks: tasks of several chunks at every worker count
+        (MemorySchedule.first_fixed(3), 3000, (7, 40), 32),
     ]
     for workers in (1, 2, 3, 8):
         assert min(np.diff(ensemble._chunk_bounds(3000, 512, workers))) >= ensemble._SHORT_RUNS
@@ -110,12 +112,15 @@ def _deadline(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _spy(monkeypatch) -> SimpleNamespace:
-    """Record what run_ensemble does in this process: the max_workers of each
-    pool it starts, the pool's futures not yet done at each submit, and the
-    first run of each chunk it simulates itself with the submits made by
-    then.  Helper processes record only in their own copy."""
-    log = SimpleNamespace(pools=[], in_flight=[], here=[])
+def _spy(monkeypatch, tmp_path) -> SimpleNamespace:
+    """Record what run_ensemble does: the chunk edges of each task it hands
+    to _run_chunks, the max_workers of each pool it starts, the pool's
+    futures not yet done at each submit, and the first run of each chunk it
+    simulates itself with the submits made by then.  Helper processes record
+    those only in their own copy, but every process appends the (lo, hi) of
+    each chunk it simulates to one file, read back by _chunk_calls."""
+    log = SimpleNamespace(tasks=[], pools=[], in_flight=[], here=[],
+                          calls=tmp_path / "chunk_calls")
 
     class SpyPool(ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
@@ -128,37 +133,65 @@ def _spy(monkeypatch) -> SimpleNamespace:
             self.futures.append(super().submit(fn, *args, **kwargs))
             return self.futures[-1]
 
-    simulate = ensemble._simulate_chunk
+    simulate, run_chunks = ensemble._simulate_chunk, ensemble._run_chunks
 
     def spy(params, schedule, grid, seed, lo, hi):
         log.here.append((lo, len(log.in_flight)))
+        with open(log.calls, "a") as fh:
+            fh.write(f"{lo} {hi}\n")
         return simulate(params, schedule, grid, seed, lo, hi)
+
+    def spy_run_chunks(tasks, workers):
+        log.tasks.append([list(task[-1]) for task in tasks])
+        return run_chunks(tasks, workers)
 
     monkeypatch.setattr(ensemble, "ProcessPoolExecutor", SpyPool)
     monkeypatch.setattr(ensemble, "_simulate_chunk", spy)
+    monkeypatch.setattr(ensemble, "_run_chunks", spy_run_chunks)
     return log
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_caller_is_one_of_the_workers(monkeypatch, workers):
+def _chunk_calls(log) -> list[tuple[int, int]]:
+    """The (lo, hi) of every chunk simulated in any process, sorted."""
+    return sorted(tuple(map(int, line.split())) for line in log.calls.read_text().splitlines())
+
+
+@pytest.mark.parametrize("workers, runs", [
+    # 12 chunks: a task per chunk
+    pytest.param(2, 600, id="2"),
+    pytest.param(3, 600, id="3"),
+    # 40 or 42 chunks: more than 8 per worker, so tasks of 2 or 3 chunks
+    pytest.param(2, 2000, id="2-many-chunks"),
+    pytest.param(3, 2000, id="3-many-chunks"),
+])
+def test_caller_is_one_of_the_workers(monkeypatch, tmp_path, workers, runs):
     sched = MemorySchedule.last_fixed(5)
-    base = dict(runs=600, n_grid=(30,), master_seed=4, chunk_size=50)
+    base = dict(runs=runs, n_grid=(30,), master_seed=4, chunk_size=50)
     alone = run_ensemble(DELAYED, sched, EnsembleConfig(workers=1, **base))
-    log = _spy(monkeypatch)
+    log = _spy(monkeypatch, tmp_path)
     pooled = run_ensemble(DELAYED, sched, EnsembleConfig(workers=workers, **base))
     helpers = workers - 1
     assert log.pools == [helpers]
-    # each helper is handed two chunks from the front before the caller starts
+    # min(chunks, 8 workers) tasks of contiguous whole chunks, in run order,
+    # and one _simulate_chunk call per chunk over all processes
+    edges = ensemble._chunk_bounds(runs, 50, workers)
+    chunks = len(edges) - 1
+    [tasks] = log.tasks
+    assert len(tasks) == min(chunks, 8 * workers)
+    assert [lo for task in tasks for lo in task[:-1]] == edges[:-1]
+    assert all(a[-1] == b[0] for a, b in zip(tasks, tasks[1:])) and tasks[-1][-1] == runs
+    assert max(len(t) - 1 for t in tasks) - min(len(t) - 1 for t in tasks) <= 1
+    assert _chunk_calls(log) == list(zip(edges[:-1], edges[1:]))
+    # each helper is handed two tasks from the front before the caller starts
     # on the last one, and never holds more than two
-    edges = ensemble._chunk_bounds(600, 50, workers)
-    assert log.here[0] == (edges[-2], 2 * helpers)
+    assert log.here[0] == (tasks[-1][0], 2 * helpers)
     assert max(log.in_flight) < 2 * helpers
     assert _csv(alone) == _csv(pooled)
 
 
 @pytest.mark.parametrize("runs, workers", [(600, 1), (1, 4)])
-def test_no_pool_for_one_worker_or_one_chunk(monkeypatch, runs, workers):
-    log = _spy(monkeypatch)
+def test_no_pool_for_one_worker_or_one_chunk(monkeypatch, tmp_path, runs, workers):
+    log = _spy(monkeypatch, tmp_path)
     cfg = EnsembleConfig(runs=runs, n_grid=(30,), master_seed=4, workers=workers,
                          chunk_size=100)
     run_ensemble(DELAYED, MemorySchedule.last_fixed(5), cfg)
@@ -166,18 +199,27 @@ def test_no_pool_for_one_worker_or_one_chunk(monkeypatch, runs, workers):
     assert [lo for lo, _ in log.here] == ensemble._chunk_bounds(runs, 100, workers)[:-1]
 
 
-@pytest.mark.parametrize("where", ["helper", "caller"])
-def test_a_failing_chunk_propagates(monkeypatch, where):
+@pytest.mark.parametrize("where, runs, chunk", [
+    pytest.param("helper", 400, None, id="helper"),
+    pytest.param("caller", 400, None, id="caller"),
+    # 40 chunks in 16 tasks: chunk 3 is the middle one of chunks 2..4, the
+    # second task, which the helper holds; chunk 38 of chunks 37..39, the
+    # last task, which the caller takes first
+    pytest.param("helper", 2000, 3, id="helper-mid-task"),
+    pytest.param("caller", 2000, 38, id="caller-mid-task"),
+])
+def test_a_failing_chunk_propagates(monkeypatch, where, runs, chunk):
     caller, simulate = os.getpid(), ensemble._simulate_chunk
+    edges = ensemble._chunk_bounds(runs, 50, 2)
 
     def failing(params, schedule, grid, seed, lo, hi):
-        if (os.getpid() == caller) == (where == "caller"):
+        if (os.getpid() == caller) == (where == "caller") and chunk in (None, edges.index(lo)):
             raise RuntimeError(f"chunk [{lo}, {hi}) failed in the {where}")
         return simulate(params, schedule, grid, seed, lo, hi)
 
     # patched before run_ensemble forks its helpers, so they inherit it
     monkeypatch.setattr(ensemble, "_simulate_chunk", failing)
-    cfg = EnsembleConfig(runs=400, n_grid=(30,), master_seed=4, workers=2, chunk_size=50)
+    cfg = EnsembleConfig(runs=runs, n_grid=(30,), master_seed=4, workers=2, chunk_size=50)
     with _deadline(60), pytest.raises(RuntimeError, match=f"failed in the {where}"):
         run_ensemble(DELAYED, MemorySchedule.last_fixed(5), cfg)
 
@@ -205,6 +247,41 @@ def test_chunk_size_does_not_change_samples():
                                     chunk_size=137, workers=2))
     assert np.array_equal(a.final_S, b.final_S)
     assert _csv(a) == _csv(b)
+
+
+@pytest.mark.parametrize("n_max, dtype", [
+    (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32),
+])
+def test_chunks_hand_back_the_narrowest_dtype(n_max, dtype):
+    # with r = 0 every step is nonzero, so N* = n_max in every run and a dtype
+    # one size too narrow wraps; first_fixed(1) freezes at once, and with
+    # p = 0.999 and full memory most runs end at S = +n_max
+    cases = [(WalkParams(p=0.6), MemorySchedule.first_fixed(1))]
+    if n_max < 256:
+        cases.append((WalkParams(p=0.999, s=1.0), MemorySchedule.full()))
+    for params, sched in cases:
+        S, nstar = _simulate_chunk(params, sched, (n_max,), 5, 0, 8)[n_max]
+        assert S.dtype == dtype and nstar.dtype == dtype
+        assert (nstar == n_max).all()
+        summary = run_ensemble(params, sched, EnsembleConfig(runs=8, n_grid=(n_max,),
+                                                             master_seed=5, chunk_size=3))
+        assert summary.final_S.dtype == np.int64 and summary.final_Nstar.dtype == np.int64
+        assert np.array_equal(summary.final_S, S) and (summary.final_Nstar == n_max).all()
+        if params.p > 0.99:
+            assert np.count_nonzero(S == n_max) > 4
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(lo=st.integers(-10**6, 10**6), span=st.integers(1, 300), size=st.integers(1, 300),
+       factor=st.floats(1e-6, 1e3) | st.floats(-1e3, -1e-6), data=st.data())
+def test_third_moment_table_matches_cubes(lo, span, size, factor, data):
+    # spans below, at and above the sample size take the table and the cube
+    # paths; mu is taken as the reducer takes it, from the scaled sample
+    x = np.array(data.draw(st.lists(st.integers(lo, lo + span - 1), min_size=size,
+                                    max_size=size)), dtype=np.int64)
+    mu = float((x.astype(np.float64) * factor).mean())
+    want = float(((x.astype(np.float64) * factor - mu) ** 3).mean())
+    assert ensemble._third_moment(x, factor, mu) == want
 
 
 _ENGINE_SCHEDULES = [
