@@ -19,22 +19,24 @@ that holds -n_max..n_max (int8 up to n_max = 127); the reducer widens them
 to int64 in run order.
 
 Uniforms are drawn in time blocks of _TIME_BLOCK per run, a multiple of 4,
-into one run-major array (a row per run).  Between blocks a run's Philox4x64
-state is therefore just (key, counter = draws / 4) with an empty output
-buffer, so streams are resumed by writing that state, never by saving and
-restoring one per run.  Time blocks serve the per-step head of the walk and
-walks whose frozen tail is short; a long frozen tail is drawn run by run
-(see below).
+into one time-major array (a row per step, a column per run), so each step
+of the kernel reads a contiguous row.  Between blocks a run's Philox4x64
+state is just (key, counter = draws / 4) with an empty output buffer, so
+streams are resumed by writing that state, never by saving and restoring one
+per run.  Time blocks serve the per-step head of the walk and walks whose
+frozen tail is short; a long frozen tail is drawn run by run (see below).
 
 Writing a run's state and calling random() costs about a microsecond,
 however few uniforms the run draws.  A short block for many runs, such as
 all 12 steps of a walk at n = 12, is therefore not drawn run by run: Philox
 is counter-based, so every (key, counter) block is computed for all runs at
-once with numpy's uint64 arithmetic, bit for bit as numpy's Philox gives it.
-That takes about 300 array operations over every (run, block of 4 uniforms)
-pair, so its cost per run grows with each block where the template's hardly
-does: it pays only for short fills of many runs.  Longer fills, and every
-one-run fill, keep the template.
+once with numpy's uint64 arithmetic, bit for bit as numpy's Philox gives it,
+each output word written as contiguous row segments of the block.  That
+takes about 300 array operations over every (run, block of 4 uniforms) pair,
+so its cost per run grows with each block where the template's hardly does:
+it pays only for short fills of many runs.  Longer fills, and every one-run
+fill, keep the template, which needs contiguous rows: it draws _TILE runs at
+a time into a run-major stage and copies that into the block's columns.
 
 This module holds the one simulation kernel, _simulate_chunk; a few paths
 (simulate_paths) are one chunk, and a single path (simulate_path) is a chunk
@@ -45,18 +47,16 @@ block's statistics, which are (S, N*) themselves while b = n, and the
 window's, from a ring of the last w steps; no variant name is consulted.
 
 Steps whose thresholds follow the walk are taken one at a time, for every run
-of the chunk at once.  Each step reads a contiguous row of a time-major tile:
-_TILE steps of the block are copied out in _TILE x _TILE squares into one
-reused buffer, never the whole block at once.  The window ring is time-major
-as well, and the running sums are float64 arrays holding exact integers, so
-_cut_points reads them without casts.
+of the chunk at once, each reading its row of the time block.  The window
+ring is time-major as well, and the running sums are float64 arrays holding
+exact integers, so _cut_points reads them without casts.
 
 A schedule without a window (w = 0 throughout) stops changing at the freeze
 step, the first k with b(k - 1) = b(n_max): k = m + 1 for first-fixed(m).
 From there on every run's thresholds are constant, so they are computed once
 per chunk, and a step only adds u < t1 to S and N* and subtracts u >= t2.
 Time blocks then stop at the head: steps 1..k - 1 rounded up to a multiple
-of 4, whose few frozen columns are counted in one vectorized pass over the
+of 4, whose few frozen rows are counted in one vectorized pass over the
 block.  Each run's frozen tail resumes its stream at counter head / 4 and is
 drawn in pieces of _TAIL_BLOCK into one reused 1-D buffer that stays in
 cache; every stretch between checkpoints is counted with 1-D compares and
@@ -115,19 +115,18 @@ if _TIME_BLOCK % 4 or _TAIL_BLOCK % 4:
                      f"got {_TIME_BLOCK} and {_TAIL_BLOCK}")
 
 # A fill of at most _SHORT_FILL uniforms for at least _SHORT_RUNS runs is
-# computed in numpy for every run at once (_philox_uniforms), in slabs of at
-# most _SHORT_SLAB runs so that its scratch space stays near 240 KB at 12
-# draws.  Measured CPU time per run, batched against template: on 4032 runs
-# 0.3x at 12 draws and 0.5x at 32, breaking even at 70 to 80; at 12 draws
-# 0.8x on 256 runs, breaking even at 160 to 190.
+# computed in numpy for every run at once (_philox_uniforms), in slabs of as
+# many runs as keep its eight lane buffers within _SLAB_BYTES: 1536 runs at
+# 12 draws, 576 at 32, and a peak near 340 KB at any draw count.  Measured
+# CPU time per run, batched against template: on 4032 runs 0.3x at 12 draws
+# and 0.5x at 32, breaking even at 70 to 80; at 12 draws 0.8x on 256 runs,
+# breaking even at 160 to 190.
 _SHORT_RUNS = 256
 _SHORT_FILL = 32
-_SHORT_SLAB = 1024
+_SLAB_BYTES = 288 * 1024
 
-# Steps per time-major tile of the per-step loop, and runs per square copied
-# into it.  A tile of a 4096-run chunk is 2 MB, where the whole time block
-# would be 64 MB; the squares keep the strided reads of the copy within few
-# memory pages at a time, about 3x faster than one transposing copy.
+# Runs per run-major stage of a template fill into a time-major block: 1 MB
+# of stage for 2048 draws.
 _TILE = 64
 
 # The pool's unit of work is a task of whole chunks; an ensemble of many
@@ -233,12 +232,10 @@ class _ChunkStreams:
     frozen tail is drawn, piece by piece, into one small buffer, with the
     same multiple-of-4 rule for every piece but the last.
 
-    A fill of the chunk's runs of at most _SHORT_FILL uniforms for at least
-    _SHORT_RUNS runs skips the template: _philox_uniforms computes the
-    same blocks for every run at once.  The template's cost is a state write
-    and a random() call per run, whatever nb is; the batched cost grows with
-    each block of 4 uniforms, so it wins on short fills only.  Fills after a
-    seek always use the template.
+    A fill of at most _SHORT_FILL uniforms for at least _SHORT_RUNS runs, not
+    after a seek, skips the template: _philox_uniforms computes the same
+    blocks for every run at once, which beats a state write and a random()
+    call per run on short fills only.
     """
 
     _MASK = 0xFFFFFFFFFFFFFFFF
@@ -269,22 +266,30 @@ class _ChunkStreams:
         self._one_run = True
 
     def fill(self, out: np.ndarray, nb: int) -> None:
-        """Fill out[j, :nb] with the next nb uniforms of the j-th run served."""
+        """Fill out[j, :nb] with the next nb uniforms of the j-th run served;
+        the rows of out may be strided, as a time-major block's transpose's are."""
         if self._drawn % 4:
             raise ValueError(
                 f"cannot resume Philox streams after {self._drawn} draws: "
                 "only a multiple of 4 leaves the output buffer empty")
-        if not self._one_run and len(out) >= _SHORT_RUNS and nb <= _SHORT_FILL:
-            _philox_uniforms(out, nb, self._key[0], self._lo, self._drawn // 4)
-        else:
-            self._counter[0] = self._drawn // 4
-            tmpl, random, state, key = self._tmpl, self._gen.random, self._state, self._key
-            lo, mask = self._lo, self._MASK
-            for j, row in enumerate(out[:, :nb]):
-                key[1] = (lo + j) & mask
+        rows, counter = out[:, :nb], self._drawn // 4
+        self._drawn += nb
+        if not self._one_run and len(rows) >= _SHORT_RUNS and nb <= _SHORT_FILL:
+            _philox_uniforms(rows, nb, self._key[0], self._lo, counter)
+            return
+        self._counter[0] = counter
+        tmpl, random, state, key = self._tmpl, self._gen.random, self._state, self._key
+        lo, mask = self._lo, self._MASK
+        direct = rows.strides[1] == rows.itemsize
+        stage = rows if direct else np.empty((min(_TILE, len(rows)), nb))
+        for j0 in range(0, len(rows), len(stage)):
+            part = stage[:len(rows) - j0]
+            for j, row in enumerate(part, lo + j0):
+                key[1] = j & mask
                 tmpl.state = state
                 random(out=row)
-        self._drawn += nb
+            if not direct:
+                rows[j0:j0 + len(part)] = part
 
 
 def _u64(value) -> np.ndarray:
@@ -335,13 +340,15 @@ def _philox_uniforms(out: np.ndarray, nb: int, key0: int, run_lo: int, counter: 
 
     numpy adds 1 to the counter before each block of four outputs, so the
     blocks are those of counters counter + 1, counter + 2, ..., and output
-    x becomes the double (x >> 11) 2^-53.  Lanes are laid out (block, run), and
-    runs are taken in slabs of at most _SHORT_SLAB through ten reused buffers,
-    so the scratch space stays fixed however many runs are filled.
+    x becomes the double (x >> 11) 2^-53.  Lanes are laid out (block, run),
+    and runs are taken in slabs through eight reused buffers of at most
+    _SLAB_BYTES in all, so the scratch space stays fixed however many runs
+    and draws are filled.  Word k of a block is written to columns k, k + 4,
+    ...: contiguous row segments when out is a time-major block's transpose.
     """
     rows = len(out)
     blocks = -(-nb // 4)
-    slabs = -(-rows // _SHORT_SLAB)
+    slabs = -(-rows // max(1, _SLAB_BYTES // (64 * blocks)))
     size = -(-rows // slabs)
     mask = 0xFFFFFFFFFFFFFFFF
     m0, (w0, w1) = _PHILOX_M[0], _PHILOX_W
@@ -355,37 +362,38 @@ def _philox_uniforms(out: np.ndarray, nb: int, key0: int, run_lo: int, counter: 
     x3_r2 = _u64(p & mask)
     keys0 = [_u64((key0 + r * w0) & mask) for r in range(10)]
     step1 = _u64(w1)
-    bufs = np.empty((10, blocks * size), dtype=np.uint64)
+    bufs = np.empty((8, blocks * size), dtype=np.uint64)
     ramp = np.arange(size, dtype=np.uint64)
     key1 = np.empty(size, dtype=np.uint64)
     for s in range(slabs):
         r0, r1 = s * rows // slabs, (s + 1) * rows // slabs
         n = r1 - r0
-        x0, x1, x2, x3, h0, l0, h1, l1, bh, t = (b[:blocks * n].reshape(blocks, n)
-                                                for b in bufs)
+        x0, x1, x2, x3, a, b, bh, t = (buf[:blocks * n].reshape(blocks, n) for buf in bufs)
         k1 = key1[:n]
         np.add(ramp[:n], _u64((run_lo + r0) & mask), out=k1)
         np.bitwise_xor(hi_c, k1, out=x2)
         np.add(k1, step1, out=k1)
-        _mulhilo(_M1, x2, h1, x1, bh, t)
-        np.bitwise_xor(h1, keys0[1], out=x0)
+        _mulhilo(_M1, x2, a, x1, bh, t)
+        np.bitwise_xor(a, keys0[1], out=x0)
         np.bitwise_xor(x2_r2, k1, out=x2)
         x3[...] = x3_r2
         for r in range(2, 10):
+            # x0 and x2 are spent by their products, so the round's new
+            # words land in the two free buffers and in theirs
             np.add(k1, step1, out=k1)
-            _mulhilo(_M0, x0, h0, l0, bh, t)
-            _mulhilo(_M1, x2, h1, l1, bh, t)
-            np.bitwise_xor(h1, x1, out=x0)
+            _mulhilo(_M0, x0, a, b, bh, t)
+            np.bitwise_xor(a, x3, out=a)
+            np.bitwise_xor(a, k1, out=a)
+            _mulhilo(_M1, x2, x0, x3, bh, t)
+            np.bitwise_xor(x0, x1, out=x0)
             np.bitwise_xor(x0, keys0[r], out=x0)
-            np.bitwise_xor(h0, x3, out=x2)
-            np.bitwise_xor(x2, k1, out=x2)
-            x1, l1 = l1, x1
-            x3, l0 = l0, x3
+            x1, x2, x3, a, b = x3, a, b, x1, x2
         for k, word in enumerate((x0, x1, x2, x3)):
             cols = out[r0:r1, k:nb:4]
             word = word[:cols.shape[1]]
             np.right_shift(word, _SHIFT11, out=word)
-            np.multiply(word.T, _TO_UNIT, out=cols)
+            cols[...] = word.T
+            cols *= _TO_UNIT
 
 
 def _count_dtype(n_max: int) -> np.dtype:
@@ -462,8 +470,7 @@ def _simulate_chunk(
             head = tail_from
     frozen = None
 
-    uniforms = np.empty((count, min(_TIME_BLOCK, head)))
-    tile = np.empty((min(_TILE, head), count))
+    uniforms = np.empty((min(_TIME_BLOCK, head), count))
     lt = np.empty(count, dtype=bool)
     ge = np.empty(count, dtype=bool)
     x = np.empty(count, dtype=np.int8)
@@ -472,67 +479,60 @@ def _simulate_chunk(
     done = 0
     while done < head:
         nb = min(_TIME_BLOCK, head - done)
-        streams.fill(uniforms, nb)
-        # per-step stepping reads one time slice at a time: copy the block's
-        # per-step part into time-major tiles so each slice is contiguous
+        streams.fill(uniforms.T, nb)
         stepped = min(nb, max(0, k_freeze - 1 - done))
-        for t0 in range(0, stepped, _TILE):
-            tn = min(_TILE, stepped - t0)
-            for r0 in range(0, count, _TILE):
-                tile[:tn, r0:r0 + _TILE] = uniforms[r0:r0 + _TILE, t0:t0 + tn].T
-            for k, u in enumerate(tile[:tn], done + t0 + 1):
-                t1, t2 = thresholds() if k > 1 else (t1f, t2f)
-                np.less(u, t1, out=lt)
-                np.greater_equal(u, t2, out=ge)
-                np.subtract(lt.view(np.int8), ge.view(np.int8), out=x)
-                np.copyto(xf, x)
-                np.multiply(xf, xf, out=nzf)
-                b_k, win_k = schedule.split(k)
-                if bsum is None and b_k < k:
-                    # the block falls behind the walk for the first time, at
-                    # b_k = k - 1: its statistics are (S, N*) before step k
-                    bsum, bnz, bsize = S.copy(), nstar.copy(), k - 1
-                if bsum is not None:
-                    if k <= b_max:
-                        joining.append(x.copy())
-                    for _ in range(bsize, b_k):
-                        row = joining.popleft()
-                        bsum += row
-                        bnz += row != 0
-                    bsize = b_k
-                lo_k = max(b_k, k - win_k)
-                if win_max:
-                    # steps lo+1.. leave the window, or steps lo_k+1..lo
-                    # rejoin it; step k - win_max leaves before step k takes
-                    # its ring slot
-                    for i in range(lo, min(lo_k, k - 1)):
-                        old = ring[i % win_max]
-                        wsum -= old
-                        wnz -= old != 0
-                    for i in range(lo_k, lo):
-                        old = ring[i % win_max]
-                        wsum += old
-                        wnz += old != 0
-                    ring[(k - 1) % win_max] = x
-                    if lo_k < k:
-                        wsum += xf
-                        wnz += nzf
-                S += xf
-                nstar += nzf
-                n, b, lo = k, b_k, lo_k
-                if k in grid_set:
-                    record(k)
+        for k, u in enumerate(uniforms[:stepped], done + 1):
+            t1, t2 = thresholds() if k > 1 else (t1f, t2f)
+            np.less(u, t1, out=lt)
+            np.greater_equal(u, t2, out=ge)
+            np.subtract(lt.view(np.int8), ge.view(np.int8), out=x)
+            np.copyto(xf, x)
+            np.multiply(xf, xf, out=nzf)
+            b_k, win_k = schedule.split(k)
+            if bsum is None and b_k < k:
+                # the block falls behind the walk for the first time, at
+                # b_k = k - 1: its statistics are (S, N*) before step k
+                bsum, bnz, bsize = S.copy(), nstar.copy(), k - 1
+            if bsum is not None:
+                if k <= b_max:
+                    joining.append(x.copy())
+                for _ in range(bsize, b_k):
+                    row = joining.popleft()
+                    bsum += row
+                    bnz += row != 0
+                bsize = b_k
+            lo_k = max(b_k, k - win_k)
+            if win_max:
+                # steps lo+1.. leave the window, or steps lo_k+1..lo rejoin
+                # it; step k - win_max leaves before step k takes its ring slot
+                for i in range(lo, min(lo_k, k - 1)):
+                    old = ring[i % win_max]
+                    wsum -= old
+                    wnz -= old != 0
+                for i in range(lo_k, lo):
+                    old = ring[i % win_max]
+                    wsum += old
+                    wnz += old != 0
+                ring[(k - 1) % win_max] = x
+                if lo_k < k:
+                    wsum += xf
+                    wnz += nzf
+            S += xf
+            nstar += nzf
+            n, b, lo = k, b_k, lo_k
+            if k in grid_set:
+                record(k)
         if stepped < nb:
             if frozen is None:
                 frozen = thresholds()
-            u = uniforms[:, stepped:nb]
-            plus = u < frozen[0][:, None]
-            minus = u >= frozen[1][:, None]
+            u = uniforms[stepped:nb]
+            plus = u < frozen[0]
+            minus = u >= frozen[1]
             i0 = 0
             for c in [c for c in grid if done + stepped < c < done + nb] + [done + nb]:
                 i1 = c - done - stepped
-                n_plus = np.count_nonzero(plus[:, i0:i1], axis=1)
-                n_minus = np.count_nonzero(minus[:, i0:i1], axis=1)
+                n_plus = np.count_nonzero(plus[i0:i1], axis=0)
+                n_minus = np.count_nonzero(minus[i0:i1], axis=0)
                 S += n_plus - n_minus
                 nstar += n_plus + n_minus
                 if c in grid_set:

@@ -292,7 +292,7 @@ _ENGINE_SCHEDULES = [
     MemorySchedule.first_plus_recent(growth=GrowthRule(), recent=1),
     MemorySchedule.last_fixed(7),
     MemorySchedule.last_increasing(GrowthRule(kind="power", c=2.0, beta=0.4)),
-    MemorySchedule.first_fixed(64),    # freezes on a tile edge
+    MemorySchedule.first_fixed(64),    # a 64-step head, then a streamed tail
     MemorySchedule.first_fixed(2048),  # freezes on a time-block edge
     # m_n = 1, 1, 3: at n = 3 the window grows back over step 1
     MemorySchedule.last_increasing(GrowthRule(kind="log", c=2.8)),
@@ -317,11 +317,12 @@ def test_vectorized_engine_reproduces_scalar_paths(schedule):
 
 @pytest.mark.parametrize("schedule", _ENGINE_SCHEDULES)
 def test_batched_fills_reproduce_scalar_paths(monkeypatch, schedule):
-    # every time block of 16 uniforms is computed in numpy, slab by slab, so
-    # batched fills start the walk and land mid-walk; where no frozen tail is
-    # streamed run by run, the last one ends on a partial Philox block
+    # every time block of 16 uniforms is computed in numpy, in slabs of 3
+    # runs, so batched fills start the walk and land mid-walk; where no
+    # frozen tail is streamed run by run, the last one ends on a partial
+    # Philox block
     monkeypatch.setattr(ensemble, "_SHORT_RUNS", 1)
-    monkeypatch.setattr(ensemble, "_SHORT_SLAB", 3)
+    monkeypatch.setattr(ensemble, "_SLAB_BYTES", _slab_bytes(3, 16))
     monkeypatch.setattr(ensemble, "_TIME_BLOCK", 16)
     batched = _batched_fills(monkeypatch)
     grid = (3, 39, 41, 100, 203)
@@ -472,6 +473,12 @@ def test_chunk_streams_seek_one_run(seed, run_lo):
         assert np.array_equal(np.concatenate(parts), want), j
 
 
+def _slab_bytes(runs: int, nb: int) -> int:
+    """The scratch budget of a slab of `runs` runs drawing nb uniforms: eight
+    uint64 lanes per run and block of four."""
+    return runs * 8 * 8 * -(-nb // 4)
+
+
 def _batched_fills(monkeypatch) -> list[tuple[int, int]]:
     """Record (runs, nb) of every fill computed by _philox_uniforms."""
     calls = []
@@ -493,7 +500,7 @@ def test_batched_fill_matches_run_streams(monkeypatch, seed, run_lo, drawn, nb):
     # 7 runs in slabs of at most 3, whose keys wrap past 2^64 - 1 inside the
     # fill when run_lo = 2^64 - 4; the streams resume at `drawn` first
     monkeypatch.setattr(ensemble, "_SHORT_RUNS", 7)
-    monkeypatch.setattr(ensemble, "_SHORT_SLAB", 3)
+    monkeypatch.setattr(ensemble, "_SLAB_BYTES", _slab_bytes(3, nb))
     calls = _batched_fills(monkeypatch)
     streams = _ChunkStreams(seed, run_lo)
     if drawn:
@@ -555,17 +562,56 @@ def test_one_run_fills_are_never_batched(monkeypatch):
 
 
 def test_batched_fill_scratch_is_bounded():
-    # 4096 runs are filled in slabs through ten reused buffers: about 240 KB,
-    # where the whole chunk's lanes would take about 1 MB
-    out = np.empty((4096, 12))
-    streams = _ChunkStreams(3, 0)
-    tracemalloc.start()
-    try:
-        streams.fill(out, 12)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**19
+    # 4096 runs are filled in slabs through eight reused buffers of at most
+    # _SLAB_BYTES, however many draws each run takes, where the whole
+    # chunk's lanes would take about 0.8 MB at 12 draws and 2 MB at 32
+    for nb in (12, 20, ensemble._SHORT_FILL):
+        out = np.empty((4096, nb))
+        streams = _ChunkStreams(3, 0)
+        tracemalloc.start()
+        try:
+            streams.fill(out, nb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19, (nb, peak)
+
+
+@pytest.mark.parametrize("path", ["template", "batched"])
+@pytest.mark.parametrize("runs", [1, 63, 65, 300])
+def test_fill_into_a_time_major_block_matches_run_streams(monkeypatch, path, runs):
+    # the kernel fills the transpose of a (draws, runs) block, whose rows are
+    # strided: the template draws _TILE runs at a time into a stage (63, 65
+    # and 300 runs end inside one), and the batched path writes each Philox
+    # word as row segments, here in slabs of 64 to 128 runs.  The last fill
+    # is not a multiple of 4, and the keys of 63 runs or more wrap past
+    # 2^64 - 1.  After a seek one run is served into a column of the block.
+    monkeypatch.setattr(ensemble, "_SHORT_RUNS", 1 if path == "batched" else 10**9)
+    monkeypatch.setattr(ensemble, "_SLAB_BYTES", _slab_bytes(64, ensemble._SHORT_FILL))
+    calls = _batched_fills(monkeypatch)
+    seed, run_lo, sizes = 2**63 + 11, 2**64 - 50, (8, ensemble._SHORT_FILL, 7)
+    streams = _ChunkStreams(seed, run_lo)
+    block = np.empty((max(sizes), runs))
+    parts = []
+    for nb in sizes:
+        block.fill(np.nan)
+        streams.fill(block.T, nb)
+        assert np.isnan(block[nb:]).all()
+        parts.append(block[:nb].copy())
+    drawn = sum(sizes)
+    got = np.concatenate(parts)
+    for j in range(runs):
+        assert np.array_equal(got[:, j], make_run_stream(seed, run_lo + j).random(drawn)), j
+    assert calls == ([(runs, nb) for nb in sizes] if path == "batched" else [])
+    for j in {0, runs // 2, runs - 1}:
+        streams.seek(j, 12)
+        block.fill(np.nan)
+        streams.fill(block[:, j:j + 1].T, 8)
+        streams.fill(block[8:, j:j + 1].T, 5)
+        want = make_run_stream(seed, run_lo + j).random(12 + 13)[12:]
+        assert np.array_equal(block[:13, j], want), j
+        assert np.isnan(np.delete(block, j, axis=1)).all()
+    assert len(calls) == (len(sizes) if path == "batched" else 0)
 
 
 def test_ensemble_matches_enumeration_small():
