@@ -34,9 +34,9 @@ once with numpy's uint64 arithmetic, bit for bit as numpy's Philox gives it,
 each output word written as contiguous row segments of the block.  That
 takes about 300 array operations over every (run, block of 4 uniforms) pair,
 so its cost per run grows with each block where the template's hardly does:
-it pays only for short fills of many runs.  Longer fills, and every one-run
-fill, keep the template, which needs contiguous rows: it draws _TILE runs at
-a time into a run-major stage and copies that into the block's columns.
+it pays only for short fills of many runs.  Other fills keep the template,
+which draws _TILE runs at a time into a run-major stage and copies that into
+the block's columns.
 
 This module holds the one simulation kernel, _simulate_chunk; a few paths
 (simulate_paths) are one chunk, and a single path (simulate_path) is a chunk
@@ -58,11 +58,12 @@ per chunk, and a step only adds u < t1 to S and N* and subtracts u >= t2.
 Time blocks then stop at the head: steps 1..k - 1 rounded up to a multiple
 of 4, whose few frozen rows are counted in one vectorized pass over the
 block.  Each run's frozen tail resumes its stream at counter head / 4 and is
-drawn in pieces of _TAIL_BLOCK into one reused 1-D buffer that stays in
-cache; every stretch between checkpoints is counted with 1-D compares and
-count_nonzero, and the counts are added to (S, N*) after the last run.  A
-tail shorter than _TIME_BLOCK, where a loop over runs would cost more than
-it saves, stays in the time blocks and their vectorized pass.
+drawn in pieces of _TAIL_BLOCK raw 64-bit words, never made doubles: u < t
+holds exactly when the word is below the integer cut _word_cut(t), computed
+once per run.  Each stretch between checkpoints takes a compare per cut, one
+if the cuts are equal (always at r = 0), and the counts are added to (S, N*)
+after the last run.  A tail shorter than _TIME_BLOCK, where a loop over runs
+would cost more than it saves, stays in the time blocks.
 """
 
 from __future__ import annotations
@@ -103,11 +104,11 @@ __all__ = [
 DEFAULT_CHUNK = 4096
 DEFAULT_MAX_STEPS = 5_000_000_000
 
-# Uniforms drawn per run per stream fill: _TIME_BLOCK for every run of a
-# chunk at once, _TAIL_BLOCK for one run's frozen tail.  _ChunkStreams resumes
-# a stream at counter draws / 4, so every fill but the last must draw a
+# Draws per run per stream fill: _TIME_BLOCK uniforms for every run of a
+# chunk at once, _TAIL_BLOCK raw words for one run's frozen tail.  Streams
+# resume at counter draws / 4, so every fill but the last must draw a
 # multiple of 4.  Each tail piece costs one Philox state write, so pieces are
-# as long as still fits the buffer in cache: 128 KB of doubles.
+# long: 128 KB of words, which random_raw allocates afresh for each piece.
 _TIME_BLOCK = 2048
 _TAIL_BLOCK = 16384
 if _TIME_BLOCK % 4 or _TAIL_BLOCK % 4:
@@ -219,23 +220,20 @@ class _ChunkStreams:
     counter starting at zero, exactly as make_run_stream builds it.  Each
     counter value yields four 64-bit outputs and random() takes one per
     double, so after d draws, with d a multiple of 4, a stream's whole state
-    is (key, counter = d / 4) with its output buffer used up.  Every fill
-    therefore starts from a state written directly into the shared template:
-    nothing is read back and no per-run state is kept between fills.  That
-    needs every fill but the last to draw a multiple of 4 uniforms; a fill
-    that would resume mid-buffer is refused.
+    is (key, counter = d / 4) with its output buffer used up.  Every fill or
+    raw call therefore writes that state into the shared template, and one
+    that would resume mid-buffer is refused: all but the last must draw a
+    multiple of 4.
 
     Fills serve the runs of the chunk in step, from run_lo on, a time block
-    at a time.  seek(j, drawn) moves the streams to run run_lo + j after
-    `drawn` of its draws: a fill of a one-row out then serves that run alone,
-    and the next fill carries on where it stopped.  That is how a run's
-    frozen tail is drawn, piece by piece, into one small buffer, with the
-    same multiple-of-4 rule for every piece but the last.
+    at a time.  seek(j, drawn) puts raw, and raw only, at run run_lo + j
+    after `drawn` draws; each raw call, a piece of that run's frozen tail,
+    carries on where the last stopped.
 
-    A fill of at most _SHORT_FILL uniforms for at least _SHORT_RUNS runs, not
-    after a seek, skips the template: _philox_uniforms computes the same
-    blocks for every run at once, which beats a state write and a random()
-    call per run on short fills only.
+    A fill of at most _SHORT_FILL uniforms for at least _SHORT_RUNS runs
+    skips the template: _philox_uniforms computes the same blocks for every
+    run at once, which beats a state write and a random() call per run on
+    short fills only.
     """
 
     _MASK = 0xFFFFFFFFFFFFFFFF
@@ -243,9 +241,8 @@ class _ChunkStreams:
     def __init__(self, master_seed: int, run_lo: int):
         self._tmpl = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         self._gen = np.random.Generator(self._tmpl)
-        self._run_lo = self._lo = run_lo
-        self._drawn = 0
-        self._one_run = False
+        self._run_lo = self._run = run_lo
+        self._drawn = self._run_drawn = 0
         # one reusable state of plain ints: the setter copies it in, and
         # reads of list items are cheaper than of numpy arrays
         self._key = [master_seed & self._MASK, 0]
@@ -259,37 +256,62 @@ class _ChunkStreams:
             "uinteger": 0,
         }
 
+    @staticmethod
+    def _resume_at(drawn: int) -> int:
+        """The counter that resumes a stream after `drawn` draws."""
+        if drawn % 4:
+            raise ValueError(f"cannot resume Philox streams after {drawn} draws: "
+                             "only a multiple of 4 leaves the output buffer empty")
+        return drawn // 4
+
     def seek(self, j: int, drawn: int) -> None:
-        """Make the next fill serve run run_lo + j alone, from its draw `drawn` on."""
-        self._lo = self._run_lo + j
-        self._drawn = drawn
-        self._one_run = True
+        """Make the next raw call serve run run_lo + j from its draw `drawn` on."""
+        self._run = self._run_lo + j
+        self._run_drawn = drawn
+
+    def raw(self, nb: int) -> np.ndarray:
+        """The next nb 64-bit outputs of the run that seek chose, as a new
+        array; random() would have made output x the double (x >> 11) 2^-53."""
+        self._counter[0] = self._resume_at(self._run_drawn)
+        self._run_drawn += nb
+        self._key[1] = self._run & self._MASK
+        self._tmpl.state = self._state
+        return self._tmpl.random_raw(nb)
 
     def fill(self, out: np.ndarray, nb: int) -> None:
-        """Fill out[j, :nb] with the next nb uniforms of the j-th run served;
-        the rows of out may be strided, as a time-major block's transpose's are."""
-        if self._drawn % 4:
-            raise ValueError(
-                f"cannot resume Philox streams after {self._drawn} draws: "
-                "only a multiple of 4 leaves the output buffer empty")
-        rows, counter = out[:, :nb], self._drawn // 4
+        """Fill out[j, :nb] with the next nb uniforms of run run_lo + j; the
+        rows of out may be strided, as a time-major block's transpose's are."""
+        rows, counter = out[:, :nb], self._resume_at(self._drawn)
         self._drawn += nb
-        if not self._one_run and len(rows) >= _SHORT_RUNS and nb <= _SHORT_FILL:
-            _philox_uniforms(rows, nb, self._key[0], self._lo, counter)
+        if len(rows) >= _SHORT_RUNS and nb <= _SHORT_FILL:
+            _philox_uniforms(rows, nb, self._key[0], self._run_lo, counter)
             return
         self._counter[0] = counter
         tmpl, random, state, key = self._tmpl, self._gen.random, self._state, self._key
-        lo, mask = self._lo, self._MASK
-        direct = rows.strides[1] == rows.itemsize
-        stage = rows if direct else np.empty((min(_TILE, len(rows)), nb))
+        lo, mask = self._run_lo, self._MASK
+        stage = np.empty((min(_TILE, len(rows)), nb))
         for j0 in range(0, len(rows), len(stage)):
             part = stage[:len(rows) - j0]
             for j, row in enumerate(part, lo + j0):
                 key[1] = j & mask
                 tmpl.state = state
                 random(out=row)
-            if not direct:
-                rows[j0:j0 + len(part)] = part
+            rows[j0:j0 + len(part)] = part
+
+
+def _word_cut(t: float) -> int:
+    """The cut c in 0..2^64 with (x >> 11) 2^-53 < t exactly when x < c;
+    random() makes 64-bit output x that double.  t 2^53 is exact, so
+    x >> 11 < t 2^53 exactly when x >> 11 < ceil(t 2^53), that is when
+    x < ceil(t 2^53) 2^11.  At t >= 1 the cut is 2^64, above every uint64."""
+    return min(max(math.ceil(t * 2.0**53), 0), 2**53) << 11
+
+
+def _count_below(words: np.ndarray, cut: int, scratch: np.ndarray) -> int:
+    """How many uint64 words are below a _word_cut cut; 2^64 passes all."""
+    if cut >> 64:
+        return len(words)
+    return np.count_nonzero(np.less(words, cut, out=scratch[:len(words)]))
 
 
 def _u64(value) -> np.ndarray:
@@ -542,38 +564,34 @@ def _simulate_chunk(
     if head == n_max:
         return out
 
-    # The frozen tail: each run resumes its stream at draw `head` and is drawn
-    # in pieces of _TAIL_BLOCK into one reused buffer, which stays in cache.
-    # A piece is compared and counted per segment between checkpoints; the
-    # pieces and their segments are the same for every run, so their views
-    # are cut once.  Counts are added to (S, N*) segment by segment after.
+    # The frozen tail, time block freed: each run resumes at draw `head`, in
+    # pieces of raw words whose checkpoint segments are cut once for all runs.
     t1, t2 = frozen if frozen is not None else thresholds()
+    uniforms = u = plus = minus = None
     ends = [c for c in grid if head < c < n_max] + [n_max]
-    buf = np.empty((1, min(_TAIL_BLOCK, n_max - head)))
-    tail_lt = np.empty(buf.shape[1], dtype=bool)
-    tail_ge = np.empty(buf.shape[1], dtype=bool)
     pieces = []
     for p0 in range(head, n_max, _TAIL_BLOCK):
         nb = min(_TAIL_BLOCK, n_max - p0)
         cuts = [0] + [c - p0 for c in ends if p0 < c < p0 + nb] + [nb]
-        pieces.append((nb, buf[0, :nb], tail_lt[:nb], tail_ge[:nb],
-                       [(bisect.bisect_left(ends, p0 + i1), tail_lt[i0:i1], tail_ge[i0:i1])
-                        for i0, i1 in zip(cuts, cuts[1:])]))
-    n_plus = np.zeros((len(ends), count), dtype=np.int64)
-    n_minus = np.zeros((len(ends), count), dtype=np.int64)
-    count_nonzero = np.count_nonzero
+        pieces.append((nb, [(bisect.bisect_left(ends, p0 + i1), i0, i1)
+                            for i0, i1 in zip(cuts, cuts[1:])]))
+    below = np.empty(pieces[0][0], dtype=bool)
+    counts = np.empty((count, 2, len(ends)), dtype=np.int64)
     for j, (t1j, t2j) in enumerate(zip(t1.tolist(), t2.tolist())):
+        c1, c2 = _word_cut(t1j), _word_cut(t2j)
+        up, down = [0] * len(ends), [0] * len(ends)
         streams.seek(j, head)
-        for nb, u, lt_u, ge_u, parts in pieces:
-            streams.fill(buf, nb)
-            np.less(u, t1j, out=lt_u)
-            np.greater_equal(u, t2j, out=ge_u)
-            for s, lt_s, ge_s in parts:
-                n_plus[s, j] += count_nonzero(lt_s)
-                n_minus[s, j] += count_nonzero(ge_s)
-    for c, up, down in zip(ends, n_plus, n_minus):
-        S += up - down
-        nstar += up + down
+        for nb, parts in pieces:
+            words = streams.raw(nb)
+            for s, i0, i1 in parts:
+                n1 = _count_below(words[i0:i1], c1, below)
+                up[s] += n1
+                down[s] += i1 - i0 - (n1 if c2 == c1 else
+                                      _count_below(words[i0:i1], c2, below))
+        counts[j] = up, down
+    for c, (n_plus, n_minus) in zip(ends, counts.transpose(2, 1, 0)):
+        S += n_plus - n_minus
+        nstar += n_plus + n_minus
         record(c)
     return out
 

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erwlab import (
@@ -383,15 +383,20 @@ def test_kernel_matches_reference_and_any_chunk_split(params, schedule, grid, se
 ])
 def test_streamed_tail_in_many_pieces_matches_reference(monkeypatch, schedule):
     # small blocks put tails of several pieces, a last piece that is not a
-    # multiple of 4, and checkpoints on and between piece edges within reach
+    # multiple of 4, and checkpoints on and between piece edges within reach.
+    # The r = 0 walk has equal cuts, so one compare counts both signs; under
+    # first_fixed(1) the q = 0 walk's frozen cuts are t1 = 0 and t2 = 1.0
+    # after a first zero, and t2 = 1.0 after a first +1 (runs 0, 1, 3 and 2)
     monkeypatch.setattr(ensemble, "_TIME_BLOCK", 16)
     monkeypatch.setattr(ensemble, "_TAIL_BLOCK", 12)
     grid = (3, 12, 20, 36, 37, 60, 97)
-    for params in (DELAYED, WalkParams(p=0.7, s=0.2)):
+    for params in (DELAYED, WalkParams(p=0.7, s=0.2), WalkParams(p=0.5, r=0.5)):
         chunk = _simulate_chunk(params, schedule, grid, 2**63 + 5, 2**64 - 2, 2**64 + 2)
         for i in range(4):
             got = [(n, int(chunk[n][0][i]), int(chunk[n][1][i])) for n in grid]
             assert got == reference_path(params, schedule, grid, 2**63 + 5, 2**64 - 2 + i), i
+        if params.q == 0.0 and schedule.split(97)[0] == 1:
+            assert 0 < np.count_nonzero(chunk[97][1]) < 4
 
 
 def test_frozen_tail_streams_through_a_small_buffer():
@@ -449,7 +454,11 @@ def test_chunk_streams_refuse_resume_inside_philox_block():
         streams.fill(out, 4)
     streams.seek(1, 6)
     with pytest.raises(ValueError, match="multiple of 4"):
-        streams.fill(out, 4)
+        streams.raw(4)
+    streams.seek(1, 8)
+    streams.raw(7)
+    with pytest.raises(ValueError, match="multiple of 4"):
+        streams.raw(4)
 
 
 @pytest.mark.parametrize("seed, run_lo", [
@@ -458,19 +467,53 @@ def test_chunk_streams_refuse_resume_inside_philox_block():
     (-7, 2**64 - 1),
 ])
 def test_chunk_streams_seek_one_run(seed, run_lo):
-    # after a fill of every run, seek serves one run alone from a later draw,
-    # piece after piece, across key wrap-around
+    # after a fill of every run, seek serves one run's raw outputs from a
+    # later draw, piece after piece, across key wrap-around; fills are not
+    # moved and carry on every run's stream
     streams = _ChunkStreams(seed, run_lo)
     streams.fill(np.empty((3, 8)), 8)
-    out = np.full((1, 16), np.nan)
     for j in (2, 0, 1):
         streams.seek(j, 12)
-        parts = []
-        for nb in (16, 4, 7):
-            streams.fill(out, nb)
-            parts.append(out[0, :nb].copy())
-        want = make_run_stream(seed, run_lo + j).random(12 + 27)[12:]
+        parts = [streams.raw(nb) for nb in (16, 4, 7)]
+        assert all(part.dtype == np.uint64 for part in parts)
+        want = make_run_stream(seed, run_lo + j).bit_generator.random_raw(12 + 27)[12:]
         assert np.array_equal(np.concatenate(parts), want), j
+    out = np.empty((3, 4))
+    streams.fill(out, 4)
+    for j in range(3):
+        assert np.array_equal(out[j], make_run_stream(seed, run_lo + j).random(12)[8:]), j
+
+
+@st.composite
+def _cut_thresholds(draw):
+    """Thresholds on the 2^-53 grid, either float neighbour of one, or subnormal."""
+    t = draw(st.integers(0, 2**53)) * 2.0**-53
+    side = draw(st.sampled_from([None, -math.inf, math.inf]))
+    on_grid = t if side is None else float(np.nextafter(t, side))
+    return draw(st.just(on_grid) | st.floats(0.0, 2.0**-1022, allow_subnormal=True))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(t=_cut_thresholds(), c=st.integers(0, 2**53), key=st.integers(0, 2**64 - 1))
+@example(t=0.0, c=0, key=0)
+@example(t=1.0, c=2**53, key=1)
+@example(t=2.0**-53, c=1, key=2)
+@example(t=5e-324, c=0, key=3)
+@example(t=float(np.nextafter(1.0, 0.0)), c=2**53 - 1, key=4)
+def test_word_cut_is_the_double_compare(t, c, key):
+    # random() makes output x the double (x >> 11) 2^-53; the frozen tail
+    # counts x < _word_cut(t) instead, through the kernel's own helpers.
+    # Words sit one below, on and one above c 2^11, for c the cut's and any
+    # other, and are checked one by one and against numpy's own doubles.
+    cut, scratch = ensemble._word_cut(t), np.empty(64, dtype=bool)
+    for e in {cut >> 11, c}:
+        for x in (e * 2**11 - 1, e * 2**11, e * 2**11 + 1):
+            if 0 <= x < 2**64:
+                below = ensemble._count_below(np.array([x], dtype=np.uint64), cut, scratch)
+                assert below == ((x >> 11) * 2.0**-53 < t), (x, cut)
+    words = make_run_stream(key, 7).bit_generator.random_raw(64)
+    doubles = make_run_stream(key, 7).random(64)
+    assert ensemble._count_below(words, cut, scratch) == np.count_nonzero(doubles < t)
 
 
 def _slab_bytes(runs: int, nb: int) -> int:
@@ -543,22 +586,26 @@ def test_batched_fill_refuses_resume_inside_philox_block(monkeypatch):
 
 def test_one_run_fills_are_never_batched(monkeypatch):
     # a single path is a chunk of one run, below _SHORT_RUNS; a run's frozen
-    # tail is drawn through seek, one run at a time, even where a fill of a
-    # single run would otherwise qualify, while the head's fill of the whole
-    # chunk is batched
+    # tail is never filled at all but drawn as raw outputs after a seek, one
+    # run at a time, in 7 pieces of 12 and one of 1, while the head's fill of
+    # the whole chunk is batched
     monkeypatch.setattr(ensemble, "_TIME_BLOCK", 16)
     monkeypatch.setattr(ensemble, "_TAIL_BLOCK", 12)
     calls = _batched_fills(monkeypatch)
     simulate_path(WalkParams(p=0.7), MemorySchedule.first_increasing(), 40, (12, 40), 7, 3)
     assert calls == []
     monkeypatch.setattr(ensemble, "_SHORT_RUNS", 1)
-    seeks = []
-    seek = _ChunkStreams.seek
+    seeks, raws, fills = [], [], []
+    seek, raw, fill = _ChunkStreams.seek, _ChunkStreams.raw, _ChunkStreams.fill
     monkeypatch.setattr(_ChunkStreams, "seek",
-                        lambda self, j, drawn: (seeks.append(j), seek(self, j, drawn)))
+                        lambda self, j, drawn: (seeks.append((j, drawn)), seek(self, j, drawn)))
+    monkeypatch.setattr(_ChunkStreams, "raw", lambda self, nb: (raws.append(nb), raw(self, nb))[1])
+    monkeypatch.setattr(_ChunkStreams, "fill",
+                        lambda self, out, nb: (fills.append((len(out), nb)), fill(self, out, nb)))
     _simulate_chunk(WalkParams(p=0.7), MemorySchedule.first_fixed(9), (3, 12, 97), 7, 0, 4)
-    assert seeks == [0, 1, 2, 3]
-    assert calls == [(4, 12)]
+    assert seeks == [(j, 12) for j in range(4)]
+    assert raws == ([12] * 7 + [1]) * 4
+    assert fills == calls == [(4, 12)]
 
 
 def test_batched_fill_scratch_is_bounded():
@@ -585,7 +632,8 @@ def test_fill_into_a_time_major_block_matches_run_streams(monkeypatch, path, run
     # and 300 runs end inside one), and the batched path writes each Philox
     # word as row segments, here in slabs of 64 to 128 runs.  The last fill
     # is not a multiple of 4, and the keys of 63 runs or more wrap past
-    # 2^64 - 1.  After a seek one run is served into a column of the block.
+    # 2^64 - 1.  A seek then serves one run's raw outputs and leaves the
+    # fills where they were: after 47 draws, which no fill may resume.
     monkeypatch.setattr(ensemble, "_SHORT_RUNS", 1 if path == "batched" else 10**9)
     monkeypatch.setattr(ensemble, "_SLAB_BYTES", _slab_bytes(64, ensemble._SHORT_FILL))
     calls = _batched_fills(monkeypatch)
@@ -605,12 +653,11 @@ def test_fill_into_a_time_major_block_matches_run_streams(monkeypatch, path, run
     assert calls == ([(runs, nb) for nb in sizes] if path == "batched" else [])
     for j in {0, runs // 2, runs - 1}:
         streams.seek(j, 12)
-        block.fill(np.nan)
-        streams.fill(block[:, j:j + 1].T, 8)
-        streams.fill(block[8:, j:j + 1].T, 5)
-        want = make_run_stream(seed, run_lo + j).random(12 + 13)[12:]
-        assert np.array_equal(block[:13, j], want), j
-        assert np.isnan(np.delete(block, j, axis=1)).all()
+        words = np.concatenate([streams.raw(8), streams.raw(5)])
+        want = make_run_stream(seed, run_lo + j).bit_generator.random_raw(12 + 13)[12:]
+        assert np.array_equal(words, want), j
+    with pytest.raises(ValueError, match=f"after {drawn} draws"):
+        streams.fill(block.T, 8)
     assert len(calls) == (len(sizes) if path == "batched" else 0)
 
 
