@@ -351,6 +351,7 @@ _SCHEDULES = st.one_of(
 @st.composite
 def _walk_params(draw):
     p = draw(st.floats(0.05, 0.95))
+    # r = 0 walks, whose kernel keeps no nonzero count, are drawn apart
     r = draw(st.just(0.0) | st.floats(0.0, 0.999 - p))
     return WalkParams(p=p, r=r, s=draw(st.floats(0.0, 1.0)))
 
@@ -397,6 +398,49 @@ def test_streamed_tail_in_many_pieces_matches_reference(monkeypatch, schedule):
             assert got == reference_path(params, schedule, grid, 2**63 + 5, 2**64 - 2 + i), i
         if params.q == 0.0 and schedule.split(97)[0] == 1:
             assert 0 < np.count_nonzero(chunk[97][1]) < 4
+
+
+_TWO_VALUED_SCHEDULES = [
+    MemorySchedule.full(),
+    MemorySchedule.first_fixed(9),  # a 12-step head, then a streamed tail
+    MemorySchedule.first_increasing(GrowthRule(c=1.5, beta=0.3)),
+    MemorySchedule.first_plus_recent(m=9, recent=3),
+    MemorySchedule.first_plus_recent(growth=GrowthRule(), recent=2),
+    MemorySchedule.last_fixed(7),
+    MemorySchedule.last_increasing(GrowthRule(kind="log", c=2.8)),
+]
+
+
+@pytest.mark.parametrize("count", [1, 300])
+@pytest.mark.parametrize("schedule", _TWO_VALUED_SCHEDULES)
+def test_two_valued_walk_hands_back_every_step_as_nonzero(monkeypatch, schedule, count):
+    # at r = 0 no step is 0: the kernel keeps no nonzero count and hands back
+    # N*_k = k.  Time blocks of 16 steps put the checkpoints in seven blocks,
+    # or in a head and a tail of 12-word pieces
+    monkeypatch.setattr(ensemble, "_TIME_BLOCK", 16)
+    monkeypatch.setattr(ensemble, "_TAIL_BLOCK", 12)
+    grid = (1, 2, 15, 16, 17, 40, 97)
+    params = WalkParams(p=0.7, s=0.2)
+    chunk = _simulate_chunk(params, schedule, grid, 2024, 5, 5 + count)
+    for k in grid:
+        S, nstar = chunk[k]
+        assert np.array_equal(nstar, np.full(count, k)), k
+        assert np.all(np.abs(S) <= k) and np.all((S.astype(np.int64) - k) % 2 == 0), k
+    for j in range(min(count, 3)):
+        got = [(k, int(chunk[k][0][j]), int(chunk[k][1][j])) for k in grid]
+        assert got == reference_path(params, schedule, grid, 2024, 5 + j), j
+
+
+def test_a_walk_that_rarely_stands_still_counts_its_zeros():
+    # every r > 0 keeps the nonzero count: at r = 2^-16 some 60 of 4096 runs
+    # take a zero step by step 1000, and full memory recalls it ever after
+    params, schedule = WalkParams(p=0.6, r=2.0**-16), MemorySchedule.full()
+    S, nstar = _simulate_chunk(params, schedule, (1000,), 1, 0, 4096)[1000]
+    stood = np.flatnonzero(nstar < 1000)
+    assert len(stood) > 10
+    for j in stood[:2]:
+        got = [(1000, int(S[j]), int(nstar[j]))]
+        assert got == reference_path(params, schedule, (1000,), 1, int(j)), j
 
 
 def test_frozen_tail_streams_through_a_small_buffer():
