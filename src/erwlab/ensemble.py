@@ -43,33 +43,35 @@ This module holds the one simulation kernel, _simulate_chunk; a few paths
 of one run.  The kernel reads the memory set only through
 MemorySchedule.split: after step n the walk recalls the first b steps and the
 steps after max(b, n - w), with (b, w) = split(n).  It keeps statistics of
-three parts: the walk, the block (the walk's own while b = n) and the window,
-from a ring of the last w steps.  Steps whose thresholds follow the walk are
-taken one at a time, for every run of the chunk at once.
+three parts: the walk, the block (the walk's own while b = n) and the window.
+Steps whose thresholds follow the walk are taken one at a time, for every run
+of the chunk at once.
 
-Each part's statistics are one (rows, runs) float64 array of exact integers,
-so _cut_points reads them without casts: row 0 sums the steps and row 1
-counts the nonzero ones.  Only a walk that can stand still (r > 0) has
-rows = 2.  At r = 0 every step is +-1, so N*_n = n and each memory's nonzero
-count is its size: the kernel passes the size to _cut_points as a float,
-which gives the same bits, and hands N* back as n.  Each update of a part, a
-ring eviction and a counted stretch of steps is one numpy call over its rows.
+Each part's statistics count its +1 and -1 steps, in one (rows, runs) array
+of the narrowest signed integer dtype that holds -n_max..n_max.  Row 0
+counts the +1 steps.  Row 1 counts the -1 steps and exists only where a step
+can be 0 (r > 0); at r = 0 a memory of m steps holds m - plus of them.  So
+an r = 0 step is one compare of its uniform with t1, whose boolean row is
+added to the counts, and N*_n = n.  A ring keeps the walk's counts after
+each of the last w + 1 steps, and its current slot is the walk, so a window
+is one subtraction of two slots.  _cut_points takes the counts as they are,
+and a checkpoint hands back S_n = plus - minus and N*_n = plus + minus.
 
 A schedule without a window (w = 0 throughout) stops changing at the freeze
 step, the first k with b(k - 1) = b(n_max): k = m + 1 for first-fixed(m).
 From there on every run's thresholds are constant, so they are computed once
 per chunk, and a stretch of steps needs only its count of uniforms below t1,
-the +1 steps, and at or above t2, the -1 steps: S grows by their difference
-and N* by their sum.  Time blocks then stop at the head: steps 1..k - 1
-rounded up to a multiple of 4, whose few frozen rows are counted in one
-vectorized pass over the block.  Each run's frozen tail resumes its stream at
-counter head / 4 and is drawn in pieces of _TAIL_BLOCK raw 64-bit words,
-never made doubles: u < t holds exactly when the word is below the integer
-cut _word_cut(t), computed once per run.  Each stretch between checkpoints
-takes a compare per cut, one if the cuts are equal (always at r = 0), and
-the counts are added to the walk's statistics after the last run.  A tail
-shorter than _TIME_BLOCK, where a loop over runs would cost more than it
-saves, stays in the time blocks.
+the +1 steps, and at or above t2, the -1 steps, which are added to the
+walk's counts.  Time blocks then stop at the head: steps 1..k - 1 rounded up
+to a multiple of 4, whose few frozen rows are counted in one vectorized pass
+over the block.  Each run's frozen tail resumes its stream at counter
+head / 4 and is drawn in pieces of _TAIL_BLOCK raw 64-bit words, never made
+doubles: u < t holds exactly when the word is below the integer cut
+_word_cut(t), computed once per run.  Each stretch between checkpoints takes
+a compare per cut, one if the cuts are equal (always at r = 0), and the
+counts are added to the walk's after the last run.  A tail shorter than
+_TIME_BLOCK, where a loop over runs would cost more than it saves, stays in
+the time blocks.
 """
 
 from __future__ import annotations
@@ -424,10 +426,6 @@ def _philox_uniforms(out: np.ndarray, nb: int, key0: int, run_lo: int, counter: 
             cols *= _TO_UNIT
 
 
-# Statistics (sum, nonzero count) of steps from their counts of +1s and -1s
-_SIGNS = np.array([[1, -1], [1, 1]])
-
-
 def _count_dtype(n_max: int) -> np.dtype:
     """The narrowest signed integer dtype that holds -n_max..n_max."""
     return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
@@ -449,42 +447,47 @@ def _simulate_chunk(
     w = p + q
     t1f, t2f = params.first_step_thresholds()
     streams = _ChunkStreams(master_seed, run_lo)
-    # Statistics are (rows, count) arrays of (sum, nonzero count), the count
-    # only where a step can be 0.  Checkpoints are handed out in the narrowest
-    # signed integer dtype that holds -n_max..n_max.
+    # Statistics are (rows, count) counts of the +1 steps and, only where a
+    # step can be 0, of the -1 steps, in the narrowest signed integer dtype
+    # that holds -n_max..n_max; checkpoints are handed out in it too.
     rows = 2 if r > 0.0 else 1
-    walk = np.zeros((rows, count))
     grid_set = set(grid)
     dtype = _count_dtype(n_max)
     out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def record(k: int) -> None:
-        stats = walk.astype(dtype)
-        out[k] = (stats[0], stats[1] if rows > 1 else np.full(count, k, dtype))
+        plus = walk[0]
+        if rows > 1:
+            out[k] = (plus - walk[1], plus + walk[1])
+        else:
+            out[k] = (plus - (k - plus), np.full(count, k, dtype))
 
     # After step n the walk recalls M_n = {1..b} U {lo + 1..n}, where
-    # (b, win) = split(n) and lo = max(b, n - win).  While b = n the block's
-    # statistics are the walk's; from the first n with b < n they are a
-    # snapshot over steps 1..bsize, grown from the rows in `joining`.  The
-    # window's are kept from a ring of the last win_max steps' statistics.
+    # (b, win) = split(n) and lo = max(b, n - win).  The ring holds the
+    # walk's counts after each of the last win_max + 1 steps, C_n in slot
+    # n % len(ring), so the walk is its current slot and the window is
+    # C_n - C_lo.  While b = n the block's counts are the walk's; from the
+    # first n with b < n they are a snapshot over steps 1..bsize, grown from
+    # the step rows in `joining`.
     b_max, win_max = schedule.split(n_max)
     n = b = lo = bsize = 0
     block = None
     joining: deque[np.ndarray] = deque()
-    ring = np.zeros((win_max, rows, count), dtype=np.int8)
-    window = np.zeros((rows, count))
-    both = np.empty((rows, count))
+    ring = list(np.zeros((win_max + 1, rows, count), dtype=dtype))
+    walk = ring[0]
+    window = np.empty((rows, count), dtype=dtype)
+    both = np.empty((rows, count), dtype=dtype)
 
     def thresholds() -> tuple[np.ndarray, np.ndarray]:
         """Every run's cut points for step n + 1, which reads M_n."""
         if lo == n:
             mem, size = (walk if b == n else block), b
-        elif not b:
-            mem, size = window, n - lo
         else:
-            mem, size = np.add(block, window, out=both), b + n - lo
-        size = float(size)
-        return _cut_points(p, q, r, w, size, mem[0], mem[1] if rows > 1 else size)
+            mem = np.subtract(walk, ring[lo % len(ring)], out=window)
+            size = n - lo
+            if b:
+                mem, size = np.add(block, window, out=both), b + size
+        return _cut_points(p, q, r, w, float(size), mem[0], mem[1] if rows > 1 else None)
 
     # Without a window M_n stops changing once b reaches b(n_max): from the
     # step that first reads it on, every run's thresholds are constant.  Time
@@ -502,9 +505,9 @@ def _simulate_chunk(
     frozen = None
 
     uniforms = np.empty((min(_TIME_BLOCK, head), count))
-    lt, ge = np.empty((2, count), dtype=bool)
-    x = np.empty((rows, count), dtype=np.int8)
-    xf = np.empty((rows, count))
+    # a step's rows: whether it is +1 and, where it can be 0, whether it is -1
+    step = np.empty((rows, count), dtype=bool)
+    up, down = step[0], step[-1]
     done = 0
     while done < head:
         nb = min(_TIME_BLOCK, head - done)
@@ -512,50 +515,36 @@ def _simulate_chunk(
         stepped = min(nb, max(0, k_freeze - 1 - done))
         for k, u in enumerate(uniforms[:stepped], done + 1):
             t1, t2 = thresholds() if k > 1 else (t1f, t2f)
-            np.less(u, t1, out=lt)
-            np.greater_equal(u, t2, out=ge)
-            # t1 <= t2, so lt and ge never both hold: X = lt - ge, |X| = lt + ge
-            np.subtract(lt.view(np.int8), ge.view(np.int8), out=x[0])
+            np.less(u, t1, out=up)
             if rows > 1:
-                np.add(lt.view(np.int8), ge.view(np.int8), out=x[1])
-            np.copyto(xf, x)
+                np.greater_equal(u, t2, out=down)
             b_k, win_k = schedule.split(k)
             if block is None and b_k < k:
                 # the block falls behind the walk for the first time, at
-                # b_k = k - 1: its statistics are the walk's before step k
+                # b_k = k - 1: its counts are the walk's before step k
                 block, bsize = walk.copy(), k - 1
             if block is not None:
                 if k <= b_max:
-                    joining.append(x.copy())
+                    joining.append(step.copy())
                 for _ in range(bsize, b_k):
                     block += joining.popleft()
                 bsize = b_k
-            lo_k = max(b_k, k - win_k)
-            if win_max:
-                # steps lo+1.. leave the window, or steps lo_k+1..lo rejoin
-                # it; step k - win_max leaves before step k takes its ring slot
-                for i in range(lo, min(lo_k, k - 1)):
-                    window -= ring[i % win_max]
-                for i in range(lo_k, lo):
-                    window += ring[i % win_max]
-                ring[(k - 1) % win_max] = x
-                if lo_k < k:
-                    window += xf
-            walk += xf
-            n, b, lo = k, b_k, lo_k
+            walk = np.add(walk, step, out=ring[k % len(ring)])
+            n, b, lo = k, b_k, max(b_k, k - win_k)
             if k in grid_set:
                 record(k)
         if stepped < nb:
             if frozen is None:
                 frozen = thresholds()
             u = uniforms[stepped:nb]
-            marks = np.empty((2,) + u.shape, dtype=bool)
+            marks = np.empty((rows,) + u.shape, dtype=bool)
             np.less(u, frozen[0], out=marks[0])
-            np.greater_equal(u, frozen[1], out=marks[1])
+            if rows > 1:
+                np.greater_equal(u, frozen[1], out=marks[1])
             i0 = 0
             for c in [c for c in grid if done + stepped < c < done + nb] + [done + nb]:
                 i1 = c - done - stepped
-                walk += _SIGNS[:rows] @ np.count_nonzero(marks[:, i0:i1], axis=1)
+                walk += np.count_nonzero(marks[:, i0:i1], axis=1)
                 if c in grid_set:
                     record(c)
                 i0 = i1
@@ -589,7 +578,7 @@ def _simulate_chunk(
                                       _count_below(words[i0:i1], c2, below))
         counts[j] = up, down
     for c, moves in zip(ends, counts.transpose(2, 1, 0)):
-        walk += _SIGNS[:rows] @ moves
+        walk += moves[:rows]
         record(c)
     return out
 

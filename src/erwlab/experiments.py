@@ -568,7 +568,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "recent-augmented": Experiment(recent_augmented, 10_000, 20_000, _BLOCKS,
                                    alpha_zero=True),
     "conjecture-probe": Experiment(conjecture_probe, 100_000, 10_000,
-                                   ("last-fixed", "last-increasing")),
+                                   ("last-fixed", "last-increasing"), delayed=False),
 }
 
 

@@ -248,23 +248,27 @@ class MemoryView:
             raise ValueError(f"sum and nonzero count have different parity: {self}")
 
 
-def _cut_points(p, q, r, w, size, sm, nz):
+def _cut_points(p, q, r, w, size, plus, minus):
     """Cumulative cut points (t1, t2): u < t1 -> +1, u < t2 -> 0, else -1.
 
-    t1 = (p * n_plus + q * n_minus) / size and
-    t2 = t1 + (r + w * (size - nz) / size), evaluated in that order with
-    n_plus = (nz + sm) / 2 and n_minus = (nz - sm) / 2.  Arguments may be
-    scalars or float arrays; arrays are updated in place in three buffers.
+    plus and minus count the remembered +1 and -1 steps of a memory of size
+    steps, size a float.  t1 and then t2 are evaluated as
+
+        t1 = (p * plus + q * minus) / size
+        t2 = t1 + (r + w * (size - plus - minus) / size).
+
+    minus=None stands for size - plus, a memory without zeros as every one
+    of an r = 0 walk is, and returns t2 = t1: the same bits, since r = 0.
+    Counts may be scalars or integer arrays of any dtype; each operand before
+    the first rounding is an exact integer, so the bits do not depend on it.
     """
-    t1 = nz + sm
-    t1 *= 0.5
-    n_minus = nz - sm
-    n_minus *= 0.5
-    t1 *= p
-    n_minus *= q
-    t1 += n_minus
+    t1 = plus * p
+    t1 += (size - plus if minus is None else minus) * q
     t1 /= size
-    t2 = size - nz
+    if minus is None:
+        return t1, t1
+    t2 = size - plus
+    t2 -= minus
     t2 *= w
     t2 /= size
     t2 += r

@@ -351,7 +351,7 @@ _SCHEDULES = st.one_of(
 @st.composite
 def _walk_params(draw):
     p = draw(st.floats(0.05, 0.95))
-    # r = 0 walks, whose kernel keeps no nonzero count, are drawn apart
+    # r = 0 walks, whose kernel keeps no count of -1 steps, are drawn apart
     r = draw(st.just(0.0) | st.floats(0.0, 0.999 - p))
     return WalkParams(p=p, r=r, s=draw(st.floats(0.0, 1.0)))
 
@@ -414,7 +414,7 @@ _TWO_VALUED_SCHEDULES = [
 @pytest.mark.parametrize("count", [1, 300])
 @pytest.mark.parametrize("schedule", _TWO_VALUED_SCHEDULES)
 def test_two_valued_walk_hands_back_every_step_as_nonzero(monkeypatch, schedule, count):
-    # at r = 0 no step is 0: the kernel keeps no nonzero count and hands back
+    # at r = 0 no step is 0: the kernel keeps no count of -1 steps and hands back
     # N*_k = k.  Time blocks of 16 steps put the checkpoints in seven blocks,
     # or in a head and a tail of 12-word pieces
     monkeypatch.setattr(ensemble, "_TIME_BLOCK", 16)
@@ -432,7 +432,7 @@ def test_two_valued_walk_hands_back_every_step_as_nonzero(monkeypatch, schedule,
 
 
 def test_a_walk_that_rarely_stands_still_counts_its_zeros():
-    # every r > 0 keeps the nonzero count: at r = 2^-16 some 60 of 4096 runs
+    # every r > 0 keeps the -1 count: at r = 2^-16 some 60 of 4096 runs
     # take a zero step by step 1000, and full memory recalls it ever after
     params, schedule = WalkParams(p=0.6, r=2.0**-16), MemorySchedule.full()
     S, nstar = _simulate_chunk(params, schedule, (1000,), 1, 0, 4096)[1000]
@@ -441,6 +441,36 @@ def test_a_walk_that_rarely_stands_still_counts_its_zeros():
     for j in stood[:2]:
         got = [(1000, int(S[j]), int(nstar[j]))]
         assert got == reference_path(params, schedule, (1000,), 1, int(j)), j
+
+
+@pytest.mark.parametrize("n_max", [127, 32767])
+def test_near_all_plus_walks_fill_the_count_dtype(n_max):
+    # s = 1 and p = 1 - 2^-30 under full memory step +1 all the way: S_n
+    # reaches the largest value of the int8 or int16 counts, which the ring,
+    # the thresholds and the checkpoints must all hold exactly
+    params, schedule = WalkParams(p=1.0 - 2.0**-30, s=1.0), MemorySchedule.full()
+    grid = tuple(range(1, n_max + 1))
+    chunk = _simulate_chunk(params, schedule, grid, 3, 0, 2)
+    assert np.iinfo(chunk[n_max][0].dtype).max == chunk[n_max][0].max() == n_max
+    for j in range(2):
+        got = [(n, int(chunk[n][0][j]), int(chunk[n][1][j])) for n in grid]
+        assert got == reference_path(params, schedule, grid, 3, j), j
+
+
+@pytest.mark.parametrize("schedule", [
+    MemorySchedule.last_fixed(5),
+    MemorySchedule.first_plus_recent(m=3, recent=4),
+])
+def test_window_ring_wraps_across_time_blocks(monkeypatch, schedule):
+    # the ring's 6 or 5 rows of running counts wrap within and across time
+    # blocks of 8 steps; every step is a checkpoint
+    monkeypatch.setattr(ensemble, "_TIME_BLOCK", 8)
+    grid = tuple(range(1, 43))
+    for params in (DELAYED, WalkParams(p=0.7, s=0.2)):
+        chunk = _simulate_chunk(params, schedule, grid, 31, 7, 12)
+        for j in range(5):
+            got = [(n, int(chunk[n][0][j]), int(chunk[n][1][j])) for n in grid]
+            assert got == reference_path(params, schedule, grid, 31, 7 + j), (params, j)
 
 
 def test_frozen_tail_streams_through_a_small_buffer():

@@ -6,6 +6,8 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from erwlab import (
     EnsembleConfig,
@@ -19,7 +21,9 @@ from erwlab import (
     simulate_paths,
     step_distribution,
 )
-from reference import memory_view
+from erwlab.ensemble import _count_dtype
+from erwlab.walk import _cut_points
+from reference import cut_points_from_sums, memory_view
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +275,54 @@ def test_step_distribution_simplex_and_mean_identity():
 def test_step_distribution_zero_memory_rejected():
     with pytest.raises(ValueError):
         MemoryView(0, 0, 0)
+
+
+@st.composite
+def _memories(draw):
+    """(params, size, counts): counts are (plus, minus) pairs of one memory
+    size, with minus None for a memory without zeros at r = 0."""
+    p = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    r = draw(st.just(0.0) | st.floats(0.0, 0.999).map(lambda f: f * (1.0 - p)))
+    size = draw(st.integers(1, 10**6) | st.sampled_from([1, 2, 10**6]))
+    counts = []
+    for _ in range(draw(st.integers(1, 6))):
+        plus = draw(st.integers(0, size) | st.sampled_from([0, size]))
+        left = size - plus
+        counts.append((plus, None if r == 0.0 else
+                       draw(st.integers(0, left) | st.sampled_from([0, left]))))
+    return WalkParams(p=p, r=r), size, counts
+
+
+def _bits(t):
+    return np.asarray(t, dtype=np.float64).view(np.uint64)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_memories())
+@example((WalkParams(p=0.6), 127, [(127, None), (0, None)]))
+@example((WalkParams(p=0.5, r=0.3), 10**6, [(0, 0), (10**6, 0), (0, 10**6), (3, 4)]))
+def test_cut_points_from_counts_are_the_sum_and_nonzero_form_bit_for_bit(memory):
+    # the kernel keeps +1 and -1 counts in the narrowest dtype that holds the
+    # memory; the cut points equal those of its (sum, nonzero) form, and
+    # minus=None those of a full nonzero count, for arrays and scalars alike
+    params, size, counts = memory
+    p, q, r, w = params.p, params.q, params.r, params.p + params.q
+    dtype = _count_dtype(size)
+    plus = np.array([c[0] for c in counts], dtype=dtype)
+    minus = None if r == 0.0 else np.array([c[1] for c in counts], dtype=dtype)
+    nz = (np.full(len(counts), size) if minus is None
+          else plus.astype(np.int64) + minus).astype(np.float64)
+    sm = 2.0 * plus - nz
+    want = cut_points_from_sums(p, q, r, w, float(size), sm, nz)
+    outs = [_cut_points(p, q, r, w, float(size), plus, minus)]
+    if minus is None:
+        outs.append(_cut_points(p, q, r, w, float(size), plus, size - plus.astype(np.int64)))
+    for got in outs:
+        for t in range(2):
+            assert np.array_equal(_bits(got[t]), _bits(want[t])), t
+    for j, (n_plus, n_minus) in enumerate(counts):
+        scalar = _cut_points(p, q, r, w, float(size), n_plus, n_minus)
+        assert _bits(scalar).tolist() == [_bits(want[t])[j] for t in range(2)], j
 
 
 # ---------------------------------------------------------------------------

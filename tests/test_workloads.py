@@ -6,29 +6,36 @@ thread count must reproduce both, byte for byte, whatever the kernel's
 chunking or fill strategy.
 
 Those workloads are all r = 0 walks, whose steps are never 0.  The small
-delayed (r > 0) reports pinned below cover the kernel's nonzero counts: a
-streamed frozen tail, a window ring and a growing block that hold zero
-steps, and a block plus a window.
+delayed (r > 0) reports pinned below cover the kernel's counts of -1 steps:
+a streamed frozen tail, a growing block that holds zero steps, and a block
+plus a window.  An r > 0 trailing window is pinned one layer down, as the
+sha256 of a chunk's (S, N*): conjecture-probe, whose report pinned it
+before, checks a target of the two-valued walk and refuses r > 0.
+
+The benchmark's tracer wraps the kernel's entry points with positional
+arguments, so a test runs it on tiny window experiments as well.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from erwlab import cli
+from erwlab import MemorySchedule, WalkParams, cli, make_geometric_grid
+from erwlab.ensemble import _simulate_chunk
 
-_SPEC = json.loads((Path(__file__).resolve().parent.parent / "bench" / "workloads.json")
-                   .read_text())
+_ROOT = Path(__file__).resolve().parent.parent
+_SPEC = json.loads((_ROOT / "bench" / "workloads.json").read_text())
 
 
 # (args, exit status, sha256 of the report) at seed 12345 and one thread
 _DELAYED_PINS = [
     ("zeros --schedule first-fixed --m 50 --p 0.5 --r 0.3 --n 3000 --runs 2000", 0,
      "84a5c477c5a2d1db12833db1e6fb6b275d532f863ce89949028035dfa0d90212"),
-    ("conjecture-probe --schedule last-fixed --m 10 --p 0.6 --r 0.2 --n 2000 --runs 2000", 1,
-     "6f348b85401eac17c62bb98b639415f857b436b0d03b243b359061cd3acc36ae"),
     ("delayed --schedule first-increasing --p 0.5 --r 0.3 --n 2000 --runs 1000", 1,
      "e24ae4a113736bb4805d186b4c38945af11cb429cf6b1d4e26eeb03c27627a47"),
     ("recent-augmented --schedule first-plus-recent --m 20 --k 5 --p 0.5 --r 0.3 "
@@ -55,3 +62,49 @@ def test_delayed_report_reproduces_its_pin(tmp_path, args, exit_status, sha256):
                        "--out", str(report)])
     assert status == exit_status
     assert hashlib.sha256(report.read_bytes()).hexdigest() == sha256
+
+
+def test_delayed_window_chunk_reproduces_its_pin():
+    # last_fixed(10) at (p, r) = (.6, .2): windows of ten steps that hold
+    # zeros, S and N* of 2000 runs at 8 checkpoints, hashed as int64
+    grid = make_geometric_grid(2000)
+    chunk = _simulate_chunk(WalkParams(p=0.6, r=0.2), MemorySchedule.last_fixed(10), grid,
+                            12345, 0, 2000)
+    digest = hashlib.sha256()
+    for n in grid:
+        for sample in chunk[n]:
+            digest.update(sample.astype("<i8").tobytes())
+    assert digest.hexdigest() == ("78681d8c14d35443937521a09be38629"
+                                  "b59cbbc29d439c8852c4d48482f67a50")
+
+
+def test_conjecture_probe_refuses_a_delayed_walk(capsys):
+    # its verdict's window variance is that of the two-valued walk
+    with pytest.raises(SystemExit) as exc:
+        cli.main("conjecture-probe --schedule last-fixed --m 10 --p 0.6 --r 0.2 "
+                 "--n 2000 --runs 2000".split())
+    assert exc.value.code == 2
+    assert "conjecture-probe experiment needs r = 0, got r=0.2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    "conjecture-probe --m 5 --n 40 --runs 20",
+    "recent-augmented --schedule first-plus-recent --m 3 --k 4 --p 0.5 --r 0.3 "
+    "--n 40 --runs 20",
+], ids=["two-valued", "delayed"])
+def test_benchmark_tracer_records_the_kernel_layers(tmp_path, args):
+    record = tmp_path / "record.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, str(_ROOT / "bench" / "launch.py"), "trace", str(record), "--",
+         *args.split(), "--seed", "1", "--out", str(tmp_path / "report")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert "Traceback" not in done.stderr, done.stderr
+    traced = json.loads(record.read_text())
+    assert traced["status"] == done.returncode in (0, 1)
+    spans = {}
+    for name, _, _, _, info in traced["spans"]:
+        spans.setdefault(name, []).append(info)
+    assert {"walk.cut_points", "ensemble.fill", "ensemble.chunk"} <= set(spans)
+    assert all(info == {"runs": 20} for info in spans["walk.cut_points"])
