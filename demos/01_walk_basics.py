@@ -13,20 +13,22 @@ from erwlab import (
     EnsembleConfig,
     GrowthRule,
     MemorySchedule,
-    MemoryView,
     WalkParams,
     run_ensemble,
     simulate_paths,
-    step_distribution,
 )
+from erwlab.walk import _cut_points
 
 params = WalkParams(p=0.7)
 print(f"walk parameters: p={params.p}, q={params.q:.1f}, first step +1 w.p. {params.s}")
 print()
 
-# the one-step law is driven entirely by the remembered steps' statistics
-view = MemoryView(size=4, sum=2, nonzero=4)  # remembers +1,+1,+1,-1
-p_plus, p_zero, p_minus = step_distribution(params, view)
+# the one-step law is driven entirely by the counts of remembered +1 and -1
+# steps: a uniform u below t1 gives +1, below t2 gives 0, and -1 otherwise
+plus, minus, size = 3, 1, 4  # remembers +1,+1,+1,-1
+t1, t2 = _cut_points(params.p, params.q, params.r, params.p + params.q, float(size),
+                     plus, minus)
+p_plus, p_zero, p_minus = t1, t2 - t1, 1.0 - t2
 print(f"memory (+1,+1,+1,-1): next step +1 w.p. {p_plus:.3f}, -1 w.p. {p_minus:.3f}")
 print(f"conditional mean = (p-q) * sum/size = {p_plus - p_minus:.3f}")
 print()

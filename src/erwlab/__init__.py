@@ -9,11 +9,9 @@ and checks large ensembles against the limit targets.
 from .walk import (
     GrowthRule,
     MemorySchedule,
-    MemoryView,
     Trajectory,
     WalkParams,
     make_run_stream,
-    step_distribution,
 )
 from .oracle import (
     EnumerationCapError,
@@ -23,7 +21,6 @@ from .oracle import (
     exact_mean_nonzeros,
     exact_moments_full,
     exact_moments_increasing,
-    gamma_ratio,
     growing_mean_profile,
     log_gamma_ratio,
 )
@@ -44,12 +41,10 @@ from .ensemble import (
     EnsembleSummary,
     kolmogorov_quantile,
     ks_statistic,
-    make_geometric_grid,
     moment_convergence_table,
     run_ensemble,
     scale_factor,
     schedule_alpha,
-    simulate_path,
     simulate_paths,
     summary_to_csv,
     total_variation,

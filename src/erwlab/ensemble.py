@@ -39,13 +39,12 @@ which draws _TILE runs at a time into a run-major stage and copies that into
 the block's columns.
 
 This module holds the one simulation kernel, _simulate_chunk; a few paths
-(simulate_paths) are one chunk, and a single path (simulate_path) is a chunk
-of one run.  The kernel reads the memory set only through
-MemorySchedule.split: after step n the walk recalls the first b steps and the
-steps after max(b, n - w), with (b, w) = split(n).  It keeps statistics of
-three parts: the walk, the block (the walk's own while b = n) and the window.
-Steps whose thresholds follow the walk are taken one at a time, for every run
-of the chunk at once.
+(simulate_paths) are one chunk, and a single path is a chunk of one run.  The
+kernel reads the memory set only through MemorySchedule.split: after step n
+the walk recalls the first b steps and the steps after max(b, n - w), with
+(b, w) = split(n).  It keeps statistics of three parts: the walk, the block
+(the walk's own while b = n) and the window.  Steps whose thresholds follow
+the walk are taken one at a time, for every run of the chunk at once.
 
 Each part's statistics count its +1 and -1 steps, in one (rows, runs) array
 of the narrowest signed integer dtype that holds -n_max..n_max.  Row 0
@@ -59,19 +58,19 @@ and a checkpoint hands back S_n = plus - minus and N*_n = plus + minus.
 
 A schedule without a window (w = 0 throughout) stops changing at the freeze
 step, the first k with b(k - 1) = b(n_max): k = m + 1 for first-fixed(m).
-From there on every run's thresholds are constant, so they are computed once
-per chunk, and a stretch of steps needs only its count of uniforms below t1,
-the +1 steps, and at or above t2, the -1 steps, which are added to the
+From there on every run's thresholds are those of the freeze step, computed
+once per chunk, and a stretch of steps needs only its count of uniforms below
+t1, the +1 steps, and at or above t2, the -1 steps, which are added to the
 walk's counts.  Time blocks then stop at the head: steps 1..k - 1 rounded up
-to a multiple of 4, whose few frozen rows are counted in one vectorized pass
-over the block.  Each run's frozen tail resumes its stream at counter
-head / 4 and is drawn in pieces of _TAIL_BLOCK raw 64-bit words, never made
-doubles: u < t holds exactly when the word is below the integer cut
-_word_cut(t), computed once per run.  Each stretch between checkpoints takes
-a compare per cut, one if the cuts are equal (always at r = 0), and the
-counts are added to the walk's after the last run.  A tail shorter than
-_TIME_BLOCK, where a loop over runs would cost more than it saves, stays in
-the time blocks.
+to a multiple of 4, whose few frozen rows are stepped like the others.  Each
+run's frozen tail resumes its stream at counter head / 4 and is drawn in
+pieces of _TAIL_BLOCK raw 64-bit words, never made doubles: u < t holds
+exactly when the word is below the integer cut _word_cut(t), computed once
+per run.  Each stretch between checkpoints takes a compare per cut, one if
+the cuts are equal (always at r = 0), and the counts are added to the walk's
+after the last run.  A tail shorter than _TIME_BLOCK, where a loop over runs
+would cost more than it saves, stays in the time blocks, stepped like the
+head's frozen rows.
 """
 
 from __future__ import annotations
@@ -96,7 +95,6 @@ __all__ = [
     "BudgetError",
     "check_budget",
     "run_ensemble",
-    "simulate_path",
     "simulate_paths",
     "ks_statistic",
     "kolmogorov_quantile",
@@ -104,7 +102,6 @@ __all__ = [
     "variance_standard_error",
     "scale_factor",
     "schedule_alpha",
-    "make_geometric_grid",
     "moment_convergence_table",
     "summary_to_csv",
 ]
@@ -208,12 +205,6 @@ def schedule_alpha(schedule: MemorySchedule) -> float:
     if g is not None and g.kind == "power" and g.beta == 1.0:
         return min(1.0, g.c)
     return 0.0
-
-
-def make_geometric_grid(n_max: int, points: int = 8) -> tuple[int, ...]:
-    """Checkpoint grid n_max / 2^j, ascending; geometric so slow log effects show."""
-    grid = sorted({max(1, n_max >> j) for j in range(points)})
-    return tuple(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +480,13 @@ def _simulate_chunk(
                 mem, size = np.add(block, window, out=both), b + size
         return _cut_points(p, q, r, w, float(size), mem[0], mem[1] if rows > 1 else None)
 
-    # Without a window M_n stops changing once b reaches b(n_max): from the
-    # step that first reads it on, every run's thresholds are constant.  Time
-    # blocks stop at the head, the steps before the freeze step rounded up to
-    # whole Philox blocks, when a tail of _TIME_BLOCK steps or more is left
-    # to be drawn and counted one run at a time.
+    # Without a window M_n stops changing once b reaches b(n_max), so every
+    # step after the freeze step k_freeze, the first to read that memory,
+    # reuses the thresholds of step k_freeze.  Time blocks stop at the head,
+    # the steps before the freeze step rounded up to whole Philox blocks,
+    # when a tail of _TIME_BLOCK steps or more is left to be drawn and
+    # counted one run at a time; the head's few frozen rows are stepped like
+    # the others.
     k_freeze = n_max + 1
     head = n_max
     if not win_max:
@@ -502,19 +495,18 @@ def _simulate_chunk(
         tail_from = -(-(k_freeze - 1) // 4) * 4
         if n_max - tail_from >= _TIME_BLOCK:
             head = tail_from
-    frozen = None
 
     uniforms = np.empty((min(_TIME_BLOCK, head), count))
     # a step's rows: whether it is +1 and, where it can be 0, whether it is -1
     step = np.empty((rows, count), dtype=bool)
     up, down = step[0], step[-1]
-    done = 0
-    while done < head:
+    t1, t2 = t1f, t2f
+    for done in range(0, head, _TIME_BLOCK):
         nb = min(_TIME_BLOCK, head - done)
         streams.fill(uniforms.T, nb)
-        stepped = min(nb, max(0, k_freeze - 1 - done))
-        for k, u in enumerate(uniforms[:stepped], done + 1):
-            t1, t2 = thresholds() if k > 1 else (t1f, t2f)
+        for k, u in enumerate(uniforms[:nb], done + 1):
+            if 1 < k <= k_freeze:
+                t1, t2 = thresholds()
             np.less(u, t1, out=up)
             if rows > 1:
                 np.greater_equal(u, t2, out=down)
@@ -533,29 +525,14 @@ def _simulate_chunk(
             n, b, lo = k, b_k, max(b_k, k - win_k)
             if k in grid_set:
                 record(k)
-        if stepped < nb:
-            if frozen is None:
-                frozen = thresholds()
-            u = uniforms[stepped:nb]
-            marks = np.empty((rows,) + u.shape, dtype=bool)
-            np.less(u, frozen[0], out=marks[0])
-            if rows > 1:
-                np.greater_equal(u, frozen[1], out=marks[1])
-            i0 = 0
-            for c in [c for c in grid if done + stepped < c < done + nb] + [done + nb]:
-                i1 = c - done - stepped
-                walk += np.count_nonzero(marks[:, i0:i1], axis=1)
-                if c in grid_set:
-                    record(c)
-                i0 = i1
-        done += nb
     if head == n_max:
         return out
 
     # The frozen tail, time block freed: each run resumes at draw `head`, in
     # pieces of raw words whose checkpoint segments are cut once for all runs.
-    t1, t2 = frozen if frozen is not None else thresholds()
-    uniforms = u = marks = None
+    if head < k_freeze:
+        t1, t2 = thresholds()
+    uniforms = u = None
     ends = [c for c in grid if head < c < n_max] + [n_max]
     pieces = []
     for p0 in range(head, n_max, _TAIL_BLOCK):
@@ -610,17 +587,15 @@ def simulate_paths(
             for j in range(run_hi - run_lo)]
 
 
-def simulate_path(
-    params: WalkParams,
-    schedule: MemorySchedule,
-    n_max: int,
-    checkpoints: Sequence[int],
-    master_seed: int,
-    run_index: int,
-) -> Trajectory:
-    """Run run_index of the ensemble keyed by master_seed, as one trajectory."""
-    return simulate_paths(params, schedule, n_max, checkpoints, master_seed,
-                          run_index, run_index + 1)[0]
+def _ring_chunk(params: WalkParams, schedule: MemorySchedule, n_max: int,
+                chunk_size: int) -> int:
+    """chunk_size, cut so that a chunk's window ring takes no more bytes than
+    a time block of _TIME_BLOCK doubles for DEFAULT_CHUNK runs.  The ring
+    holds w(n_max) + 1 slots of each run's counts: (rows, runs) arrays in
+    the count dtype, with a row of -1 steps only at r > 0."""
+    ring = ((schedule.split(n_max)[1] + 1) * (2 if params.r > 0.0 else 1)
+            * _count_dtype(n_max).itemsize)
+    return max(1, min(chunk_size, _TIME_BLOCK * DEFAULT_CHUNK * 8 // ring))
 
 
 def _chunk_bounds(runs: int, chunk_size: int, workers: int) -> list[int]:
@@ -744,7 +719,9 @@ def run_ensemble(
     The calling process simulates too, so config.workers processes run in
     all: the caller and up to workers - 1 helpers.  The unit of work is a
     task of whole chunks, at most _TASKS_PER_WORKER per worker, and each
-    helper holds at most two tasks.  Chunks hand back S and N* in the
+    helper holds at most two tasks.  A chunk holds at most
+    config.chunk_size runs, and fewer where its window ring would outgrow
+    a default time block (_ring_chunk).  Chunks hand back S and N* in the
     narrowest integer dtype that holds +-n_max; final_S and final_Nstar are
     int64.  Output is bit-identical for a fixed master seed regardless of
     the worker count: runs own their streams and are reassembled in run
@@ -752,7 +729,8 @@ def run_ensemble(
     """
     n_max = config.n_grid[-1]
     check_budget(config.runs, n_max, config.max_steps)
-    bounds = _chunk_bounds(config.runs, config.chunk_size, config.workers)
+    chunk_size = _ring_chunk(params, schedule, n_max, config.chunk_size)
+    bounds = _chunk_bounds(config.runs, chunk_size, config.workers)
     chunks = len(bounds) - 1
     count = min(chunks, _TASKS_PER_WORKER * config.workers)
     tasks = [

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "exact_mean_nonzeros",
     "growing_mean_profile",
     "log_gamma_ratio",
-    "gamma_ratio",
 ]
 
 ENUM_CAP_BINARY = 16
@@ -98,11 +97,6 @@ def log_gamma_ratio(a: float, b: float) -> float:
     delta = a - b
     core = delta * math.log(b) + (a - 0.5) * math.log1p(delta / b) - delta
     return core + _stirling_tail(a) - _stirling_tail(b) + shift_logs
-
-
-def gamma_ratio(a: float, b: float) -> float:
-    """Gamma(a) / Gamma(b) via the log-space ratio."""
-    return math.exp(log_gamma_ratio(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +342,6 @@ class ExactPmf:
         es2 = math.fsum(p * s * s for (s, _), p in zip(self.support, self.mass))
         en = math.fsum(p * nz for (_, nz), p in zip(self.support, self.mass))
         return es, es2, en
-
-    def to_csv(self, fh: TextIO) -> None:
-        sched = self.schedule
-        fh.write(
-            f"# pmf n={self.n} p={self.params.p:.12g} q={self.params.q:.12g} "
-            f"r={self.params.r:.12g} s={self.params.s:.12g} schedule={sched.variant} "
-            f"m={sched.m} recent={sched.recent}"
-            + (f" growth={sched.growth.kind}:c={sched.growth.c:.12g}:beta={sched.growth.beta:.12g}"
-               if sched.growth else "")
-            + "\n"
-        )
-        fh.write("s,nstar,mass\n")
-        for (s, nz), p in zip(self.support, self.mass):
-            fh.write(f"{s},{nz},{p:.17g}\n")
 
 
 def check_enumerable(

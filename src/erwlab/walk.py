@@ -20,9 +20,7 @@ __all__ = [
     "WalkParams",
     "GrowthRule",
     "MemorySchedule",
-    "MemoryView",
     "Trajectory",
-    "step_distribution",
     "make_run_stream",
 ]
 
@@ -225,28 +223,6 @@ class MemorySchedule:
         return MemorySchedule(self.variant.replace("increasing", "fixed"),
                               m=self.block_size(n), recent=self.recent)
 
-    def memory_indices(self, n: int) -> list[int]:
-        """Explicit M_n as 1-based indices (small n only; used by tests)."""
-        b, w = self.split(n)
-        return list(range(1, b + 1)) + list(range(max(b, n - w) + 1, n + 1))
-
-
-@dataclass(frozen=True)
-class MemoryView:
-    """Sufficient statistics of the remembered steps."""
-
-    size: int
-    sum: int
-    nonzero: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("memory must contain at least one step")
-        if not (abs(self.sum) <= self.nonzero <= self.size):
-            raise ValueError(f"inconsistent view {self}")
-        if (self.sum - self.nonzero) % 2 != 0:
-            raise ValueError(f"sum and nonzero count have different parity: {self}")
-
 
 def _cut_points(p, q, r, w, size, plus, minus):
     """Cumulative cut points (t1, t2): u < t1 -> +1, u < t2 -> 0, else -1.
@@ -256,6 +232,11 @@ def _cut_points(p, q, r, w, size, plus, minus):
 
         t1 = (p * plus + q * minus) / size
         t2 = t1 + (r + w * (size - plus - minus) / size).
+
+    This is the one-step law: +1 with probability t1, 0 with t2 - t1 and -1
+    with 1 - t2 = (q * plus + p * minus) / size.  A remembered zero yields a
+    zero whatever the coin, hence the w * zeros / size excess on 0, and the
+    conditional mean is (p - q) * (plus - minus) / size.
 
     minus=None stands for size - plus, a memory without zeros as every one
     of an r = 0 walk is, and returns t2 = t1: the same bits, since r = 0.
@@ -274,27 +255,6 @@ def _cut_points(p, q, r, w, size, plus, minus):
     t2 += r
     t2 += t1
     return t1, t2
-
-
-def step_distribution(params: WalkParams, view: MemoryView) -> tuple[float, float, float]:
-    """One-step law (P_plus, P_zero, P_minus) given the memory statistics.
-
-    With m remembered steps of which n_plus are +1, n_minus are -1 and z are 0:
-
-        P_plus  = (p * n_plus + q * n_minus) / m
-        P_minus = (q * n_plus + p * n_minus) / m
-        P_zero  = r + (p + q) * z / m
-
-    so the conditional mean is (p - q) * sum / m.  Remembered zeros produce
-    zeros whatever the coin does, hence the (p + q) * z / m excess on P_zero.
-    """
-    m = view.size
-    n_plus = (view.nonzero + view.sum) / 2.0
-    n_minus = (view.nonzero - view.sum) / 2.0
-    p_plus = (params.p * n_plus + params.q * n_minus) / m
-    p_minus = (params.q * n_plus + params.p * n_minus) / m
-    p_zero = params.r + (params.p + params.q) * (m - view.nonzero) / m
-    return p_plus, p_zero, p_minus
 
 
 def make_run_stream(master_seed: int, run_index: int) -> np.random.Generator:

@@ -26,13 +26,12 @@ from erwlab import (
     ks_statistic,
     limit_cdf,
     limit_moments,
-    make_geometric_grid,
     make_run_stream,
     moment_convergence_table,
     run_ensemble,
     scale_factor,
     schedule_alpha,
-    simulate_path,
+    simulate_paths,
     summary_to_csv,
     total_variation,
     variance_standard_error,
@@ -304,9 +303,9 @@ _ENGINE_SCHEDULES = [
 
 @pytest.mark.parametrize("schedule", _ENGINE_SCHEDULES)
 def test_vectorized_engine_reproduces_scalar_paths(schedule):
-    # checkpoints inside and after the frozen pass are compared as well as the
-    # last; 4103 ends on a partial Philox block, after a fill that resumes at
-    # counter 1024
+    # checkpoints among and after the head's frozen rows are compared as well
+    # as the last; 4103 ends on a partial Philox block, after a fill that
+    # resumes at counter 1024
     grid = (39, 41, 100, 2100, 2600, 4103)
     for params in (DELAYED, WalkParams(p=0.7, s=0.2)):
         chunk = _simulate_chunk(params, schedule, grid, 77, 0, 4)
@@ -500,6 +499,70 @@ def test_frozen_pass_starts_at_the_freeze_step(monkeypatch):
     assert len(calls) <= 101
 
 
+@pytest.mark.parametrize("r", [0.0, 0.3])
+@pytest.mark.parametrize("m, time_block, head", [(5, None, 40), (5, 16, 8), (4, 16, 4)])
+def test_frozen_rows_reuse_the_freeze_steps_thresholds(monkeypatch, r, m, time_block, head):
+    # first_fixed(m) freezes at step m + 1, which reads the block {1..m}.
+    # Steps k = 2..min(head, m + 1) each read their own memory of k - 1
+    # steps, the frozen rows after them in the time blocks reuse the last
+    # cut points, and a tail that starts before the freeze step (first_fixed(4),
+    # whose head of 4 steps stops one short of it) computes them once
+    if time_block:
+        monkeypatch.setattr(ensemble, "_TIME_BLOCK", time_block)
+    sizes = []
+    cut_points = ensemble._cut_points
+
+    def counted(*args):
+        sizes.append(args[4])
+        return cut_points(*args)
+
+    monkeypatch.setattr(ensemble, "_cut_points", counted)
+    params, schedule = WalkParams(p=0.6, r=r), MemorySchedule.first_fixed(m)
+    grid = (3, 6, 7, 8, 23, 40)
+    chunk = _simulate_chunk(params, schedule, grid, 11, 0, 5)
+    stepped = list(range(1, min(head, m + 1)))
+    assert sizes == stepped + ([m] if head < m + 1 else [])
+    for j in range(5):
+        got = [(n, int(chunk[n][0][j]), int(chunk[n][1][j])) for n in grid]
+        assert got == reference_path(params, schedule, grid, 11, j), j
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3])
+def test_a_capped_window_ring_leaves_the_ensemble_unchanged(monkeypatch, r):
+    # a window of 200 steps at n = 400 holds 201 slots of int16 counts per
+    # run and row; with 8-step time blocks a chunk's ring may take only
+    # 8 x 4096 doubles, 652 runs at r = 0 and 326 at r > 0
+    schedule = MemorySchedule.last_increasing(GrowthRule(kind="power", c=0.5, beta=1.0))
+    params = WalkParams(p=0.6, r=r)
+    cfg = EnsembleConfig(runs=1500, n_grid=(37, 400), master_seed=9)
+    uncapped = _csv(run_ensemble(params, schedule, cfg))
+    monkeypatch.setattr(ensemble, "_TIME_BLOCK", 8)
+    chunks, simulate = [], ensemble._simulate_chunk
+
+    def counted(params, schedule, grid, seed, lo, hi):
+        chunks.append(hi - lo)
+        return simulate(params, schedule, grid, seed, lo, hi)
+
+    monkeypatch.setattr(ensemble, "_simulate_chunk", counted)
+    assert _csv(run_ensemble(params, schedule, cfg)) == uncapped
+    cap = 652 if r == 0.0 else 326
+    assert ensemble._ring_chunk(params, schedule, 400, 4096) == cap
+    assert len(chunks) > 1 and max(chunks) <= cap
+
+
+def test_window_ring_of_a_linear_window_is_capped_up_front():
+    # last_increasing(c = 0.5, beta = 1) at n = 10^5 keeps a 50001-slot ring
+    # of int32 counts: one 4096-run chunk would need 820 MB, so chunks hold
+    # at most 335 runs, 64 MiB at most, the bytes of a default time block;
+    # the trailing 10-step window keeps its chunk size
+    schedule = MemorySchedule.last_increasing(GrowthRule(kind="power", c=0.5, beta=1.0))
+    size = ensemble._ring_chunk(WalkParams(p=0.6), schedule, 10**5, ensemble.DEFAULT_CHUNK)
+    assert size <= 335
+    assert size * 50_001 * 4 <= ensemble._TIME_BLOCK * ensemble.DEFAULT_CHUNK * 8
+    assert ensemble._ring_chunk(WalkParams(p=0.6), MemorySchedule.last_fixed(10), 10**4,
+                                ensemble.DEFAULT_CHUNK) == ensemble.DEFAULT_CHUNK
+
+
 @pytest.mark.parametrize("seed, run_lo", [
     (2**63 + 12345, 0),
     (2**64 - 1, 2**63),
@@ -666,7 +729,7 @@ def test_one_run_fills_are_never_batched(monkeypatch):
     monkeypatch.setattr(ensemble, "_TIME_BLOCK", 16)
     monkeypatch.setattr(ensemble, "_TAIL_BLOCK", 12)
     calls = _batched_fills(monkeypatch)
-    simulate_path(WalkParams(p=0.7), MemorySchedule.first_increasing(), 40, (12, 40), 7, 3)
+    simulate_paths(WalkParams(p=0.7), MemorySchedule.first_increasing(), 40, (12, 40), 7, 3, 4)
     assert calls == []
     monkeypatch.setattr(ensemble, "_SHORT_RUNS", 1)
     seeks, raws, fills = [], [], []
@@ -784,12 +847,6 @@ def test_schedule_alpha():
     assert schedule_alpha(MemorySchedule.first_increasing()) == 0.0
     half = MemorySchedule.first_increasing(GrowthRule(kind="power", c=0.5, beta=1.0))
     assert schedule_alpha(half) == 0.5
-
-
-def test_geometric_grid():
-    grid = make_geometric_grid(1024, points=4)
-    assert grid == (128, 256, 512, 1024)
-    assert make_geometric_grid(10, points=8)[0] == 1
 
 
 # ---------------------------------------------------------------------------

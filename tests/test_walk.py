@@ -13,13 +13,10 @@ from erwlab import (
     EnsembleConfig,
     GrowthRule,
     MemorySchedule,
-    MemoryView,
     WalkParams,
     make_run_stream,
     run_ensemble,
-    simulate_path,
     simulate_paths,
-    step_distribution,
 )
 from erwlab.ensemble import _count_dtype
 from erwlab.walk import _cut_points
@@ -111,13 +108,6 @@ def test_frozen_at_horizon():
     assert frozen_aug.m == 100 and frozen_aug.recent == 2
 
 
-def test_memory_indices_examples():
-    sched = MemorySchedule.first_plus_recent(growth=GrowthRule(), recent=1)
-    assert sched.memory_indices(9) == [1, 2, 3, 9]
-    assert MemorySchedule.last_fixed(2).memory_indices(5) == [4, 5]
-    assert MemorySchedule.full().memory_indices(3) == [1, 2, 3]
-
-
 @pytest.mark.parametrize("kwargs", [
     dict(variant="first-increasing", growth=GrowthRule(), recent=2),
     dict(variant="last-fixed", m=3, recent=1),
@@ -164,7 +154,6 @@ def test_split_matches_the_definition(sched):
         b, w = sched.split(n)
         want = _defined_memory(sched, n)
         assert list(range(1, b + 1)) + list(range(max(b, n - w) + 1, n + 1)) == want, n
-        assert sched.memory_indices(n) == want, n
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +185,6 @@ def test_memory_view_needs_time():
         memory_view(*_prefix_sums([1]), MemorySchedule.full(), 0)
 
 
-def test_view_invariants_enforced():
-    with pytest.raises(ValueError):
-        MemoryView(size=2, sum=3, nonzero=2)
-    with pytest.raises(ValueError):
-        MemoryView(size=3, sum=1, nonzero=2)  # parity
-
-
 # ---------------------------------------------------------------------------
 # one-step law
 # ---------------------------------------------------------------------------
@@ -228,24 +210,32 @@ def _exact_step_law(p, q, r, steps):
     return pp / m, pz / m, pm / m
 
 
+def _step_law(params, size, plus, minus):
+    """(P_plus, P_zero, P_minus) from _cut_points: t1, t2 - t1 and 1 - t2."""
+    t1, t2 = _cut_points(params.p, params.q, params.r, params.p + params.q, float(size),
+                         plus, minus)
+    return t1, t2 - t1, 1.0 - t2
+
+
 def test_step_distribution_two_valued_example():
-    got = step_distribution(WalkParams(p=0.7), MemoryView(4, 2, 4))
+    got = _step_law(WalkParams(p=0.7), 4, 3, None)
     want = _exact_step_law(Fraction(7, 10), Fraction(3, 10), Fraction(0), [1, 1, 1, -1])
     assert got[0] == pytest.approx(float(want[0]), abs=1e-15)
     assert got == pytest.approx((0.6, 0.0, 0.4), abs=1e-15)
 
 
 def test_step_distribution_symmetric_is_coin():
-    # r = 0 keeps the memory free of zeros, so reachable views have nonzero == size
-    for view in (MemoryView(5, 3, 5), MemoryView(8, 0, 8), MemoryView(3, -1, 3)):
-        assert step_distribution(WalkParams(p=0.5), view) == pytest.approx(
-            (0.5, 0.0, 0.5), abs=1e-15)
+    # r = 0 keeps the memory free of zeros: size - plus of its steps are -1
+    for plus, minus in ((4, 1), (4, 4), (1, 2)):
+        for counts in ((plus, minus), (plus, None)):
+            assert _step_law(WalkParams(p=0.5), plus + minus, *counts) == pytest.approx(
+                (0.5, 0.0, 0.5), abs=1e-15)
 
 
 def test_step_distribution_delayed_example():
-    got = step_distribution(WalkParams(p=0.5, q=0.2, r=0.3), MemoryView(3, 0, 2))
     want = _exact_step_law(Fraction(1, 2), Fraction(1, 5), Fraction(3, 10), [1, -1, 0])
     assert want == (Fraction(7, 30), Fraction(16, 30), Fraction(7, 30))
+    got = _step_law(WalkParams(p=0.5, q=0.2, r=0.3), 3, 1, 1)
     assert got == pytest.approx(tuple(float(x) for x in want), abs=1e-15)
 
 
@@ -263,18 +253,17 @@ def test_step_distribution_simplex_and_mean_identity():
         if (ssum - nonzero) % 2:
             ssum += 1 if ssum < nonzero else -1
         params = WalkParams(p=float(p), q=float(q), r=float(r))
-        view = MemoryView(size, ssum, nonzero)
-        pp, pz, pm = step_distribution(params, view)
+        plus, minus = (nonzero + ssum) // 2, (nonzero - ssum) // 2
+        pp, pz, pm = _step_law(params, size, plus, None if r == 0 else minus)
         assert 0.0 <= min(pp, pz, pm) and max(pp, pz, pm) <= 1.0 + 1e-15
         assert pp + pz + pm == pytest.approx(1.0, abs=1e-14)
-        # conditional mean identity, exact in rational arithmetic
+        # the 0 and -1 probabilities and the conditional mean, exact in
+        # rational arithmetic
+        assert pz == pytest.approx(float(r + (p + q) * Fraction(size - nonzero, size)),
+                                   abs=1e-14)
+        assert pm == pytest.approx(float((q * plus + p * minus) / size), abs=1e-14)
         mean_rational = (p - q) * Fraction(ssum, size)
         assert pp - pm == pytest.approx(float(mean_rational), abs=1e-14)
-
-
-def test_step_distribution_zero_memory_rejected():
-    with pytest.raises(ValueError):
-        MemoryView(0, 0, 0)
 
 
 @st.composite
@@ -361,7 +350,7 @@ def test_trajectory_invariants_two_valued():
     sched = MemorySchedule.first_increasing()
     grid = [1, 2, 3, 10, 50, 321, 1000]
     for i in range(20):
-        t = simulate_path(params, sched, 1000, grid, 5, i)
+        t = simulate_paths(params, sched, 1000, grid, 5, i, i + 1)[0]
         prev_n = 0
         prev_nstar = 0
         for n, s, nstar in t.checkpoints:
@@ -377,7 +366,7 @@ def test_trajectory_absorption_delayed():
     sched = MemorySchedule.first_increasing()
     saw_degenerate = False
     for i in range(300):
-        t = simulate_path(params, sched, 60, [5, 20, 60], 11, i)
+        t = simulate_paths(params, sched, 60, [5, 20, 60], 11, i, i + 1)[0]
         vals = dict((n, (s, nstar)) for n, s, nstar in t.checkpoints)
         for early, late in ((5, 20), (20, 60)):
             if vals[early][1] == 0:
@@ -389,11 +378,11 @@ def test_trajectory_absorption_delayed():
 def test_simulate_path_checkpoint_validation():
     params = WalkParams(p=0.6)
     with pytest.raises(ValueError):
-        simulate_path(params, MemorySchedule.full(), 10, [0, 5], 0, 0)
+        simulate_paths(params, MemorySchedule.full(), 10, [0, 5], 0, 0, 1)
     with pytest.raises(ValueError):
-        simulate_path(params, MemorySchedule.full(), 10, [], 0, 0)
+        simulate_paths(params, MemorySchedule.full(), 10, [], 0, 0, 1)
     with pytest.raises(ValueError):
-        simulate_path(params, MemorySchedule.full(), 10, [11], 0, 0)
+        simulate_paths(params, MemorySchedule.full(), 10, [11], 0, 0, 1)
     with pytest.raises(ValueError):
         simulate_paths(params, MemorySchedule.full(), 10, [5], 0, 3, 3)
 
@@ -402,7 +391,7 @@ def test_simulate_paths_are_the_same_runs_as_single_paths():
     params = WalkParams(p=0.7)
     for sched in (MemorySchedule.full(), MemorySchedule.first_fixed(3)):
         paths = simulate_paths(params, sched, 3000, [10, 2500, 3000], 2024, 3, 8)
-        assert paths == [simulate_path(params, sched, 3000, [10, 2500, 3000], 2024, i)
+        assert paths == [simulate_paths(params, sched, 3000, [10, 2500, 3000], 2024, i, i + 1)[0]
                          for i in range(3, 8)]
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from erwlab import MemorySchedule, WalkParams, cli, make_geometric_grid
+from erwlab import MemorySchedule, WalkParams, cli
 from erwlab.ensemble import _simulate_chunk
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -67,7 +67,7 @@ def test_delayed_report_reproduces_its_pin(tmp_path, args, exit_status, sha256):
 def test_delayed_window_chunk_reproduces_its_pin():
     # last_fixed(10) at (p, r) = (.6, .2): windows of ten steps that hold
     # zeros, S and N* of 2000 runs at 8 checkpoints, hashed as int64
-    grid = make_geometric_grid(2000)
+    grid = (15, 31, 62, 125, 250, 500, 1000, 2000)
     chunk = _simulate_chunk(WalkParams(p=0.6, r=0.2), MemorySchedule.last_fixed(10), grid,
                             12345, 0, 2000)
     digest = hashlib.sha256()
