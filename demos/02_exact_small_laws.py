@@ -34,7 +34,8 @@ print()
 # p = 1/2 wipes out the memory: every schedule gives the fair-coin walk
 print("p = 1/2 reduces to coin tossing under any schedule (n = 10):")
 sym = WalkParams(p=0.5)
-for sched in (full, MemorySchedule.first_increasing(), MemorySchedule.last_fixed(3)):
+for sched in (full, MemorySchedule.first_increasing(), MemorySchedule.last_fixed(3),
+              MemorySchedule.last_increasing()):
     marg = enumerate_pmf(sym, sched, 10).s_marginal()
     worst = max(abs(marg[2 * k - 10] - math.comb(10, k) / 1024) for k in range(11))
     print(f"  {sched.variant:18s} max |pmf - binomial| = {worst:.2e}")

@@ -25,6 +25,8 @@ state is just (key, counter = draws / 4) with an empty output buffer, so
 streams are resumed by writing that state, never by saving and restoring one
 per run.  Time blocks serve the per-step head of the walk and walks whose
 frozen tail is short; a long frozen tail is drawn run by run (see below).
+A block of 1024 steps for 4096 runs takes 32 MiB, the largest array of a
+walk that steps every row, such as one with a trailing window.
 
 Writing a run's state and calling random() costs about a microsecond,
 however few uniforms the run draws.  A short block for many runs, such as
@@ -55,6 +57,16 @@ added to the counts, and N*_n = n.  A ring keeps the walk's counts after
 each of the last w + 1 steps, and its current slot is the walk, so a window
 is one subtraction of two slots.  _cut_points takes the counts as they are,
 and a checkpoint hands back S_n = plus - minus and N*_n = plus + minus.
+
+A memory whose size held over the last step, such as a full window or a
+growing block between its increments, takes its cut points from a table:
+_cut_points over every count it can hold, 0..size at r = 0 and every
+(plus, minus) pair at r > 0, once per size, then one take per run.  Its
+output does not depend on the counts' dtype, so the bits are those of the
+direct call.  A table is used only where it has fewer entries than the
+chunk has runs; a memory that grows every step, such as full memory or the
+block of first-fixed(m) up to its freeze step, keeps the direct call.  So
+an r = 0 window step is a subtraction, a take, a compare and an add.
 
 A schedule without a window (w = 0 throughout) stops changing at the freeze
 step, the first k with b(k - 1) = b(n_max): k = m + 1 for first-fixed(m).
@@ -114,7 +126,10 @@ DEFAULT_MAX_STEPS = 5_000_000_000
 # resume at counter draws / 4, so every fill but the last must draw a
 # multiple of 4.  Each tail piece costs one Philox state write, so pieces are
 # long: 128 KB of words, which random_raw allocates afresh for each piece.
-_TIME_BLOCK = 2048
+# A time block of DEFAULT_CHUNK runs takes 32 MiB.  Shorter blocks mean more
+# fills, each a state write per run; on a window walk the cut-point tables
+# (thresholds in _simulate_chunk) pay for those of 1024-step blocks.
+_TIME_BLOCK = 1024
 _TAIL_BLOCK = 16384
 if _TIME_BLOCK % 4 or _TAIL_BLOCK % 4:
     raise ValueError("_TIME_BLOCK and _TAIL_BLOCK must be multiples of 4, "
@@ -131,8 +146,8 @@ _SHORT_RUNS = 256
 _SHORT_FILL = 32
 _SLAB_BYTES = 288 * 1024
 
-# Runs per run-major stage of a template fill into a time-major block: 1 MB
-# of stage for 2048 draws.
+# Runs per run-major stage of a template fill into a time-major block:
+# 512 KB of stage for _TIME_BLOCK draws.
 _TILE = 64
 
 # The pool's unit of work is a task of whole chunks; an ensemble of many
@@ -461,16 +476,23 @@ def _simulate_chunk(
     # first n with b < n they are a snapshot over steps 1..bsize, grown from
     # the step rows in `joining`.
     b_max, win_max = schedule.split(n_max)
-    n = b = lo = bsize = 0
+    n = b = lo = bsize = last = 0
     block = None
     joining: deque[np.ndarray] = deque()
     ring = list(np.zeros((win_max + 1, rows, count), dtype=dtype))
     walk = ring[0]
     window = np.empty((rows, count), dtype=dtype)
     both = np.empty((rows, count), dtype=dtype)
+    table = (np.empty(0),) * 2
+
+    def cut_points(size: int, counts) -> tuple[np.ndarray, np.ndarray]:
+        return _cut_points(p, q, r, w, float(size), counts[0], counts[1] if rows > 1 else None)
 
     def thresholds() -> tuple[np.ndarray, np.ndarray]:
-        """Every run's cut points for step n + 1, which reads M_n."""
+        """Every run's cut points for step n + 1, which reads M_n: from a
+        table of every count it can hold where its size held over the last
+        step and the table has fewer entries than the chunk has runs."""
+        nonlocal table, last
         if lo == n:
             mem, size = (walk if b == n else block), b
         else:
@@ -478,7 +500,18 @@ def _simulate_chunk(
             size = n - lo
             if b:
                 mem, size = np.add(block, window, out=both), b + size
-        return _cut_points(p, q, r, w, float(size), mem[0], mem[1] if rows > 1 else None)
+        held, last = size == last, size
+        entries = (size + 1) ** rows
+        if not held or entries >= count:
+            return cut_points(size, mem)
+        if len(table[0]) != entries:
+            table = cut_points(size, np.indices((size + 1,) * rows).reshape(rows, entries))
+        key = mem[0]
+        if rows > 1:
+            key = np.multiply(key, size + 1, dtype=np.intp)
+            key += mem[1]
+        t1 = table[0].take(key)
+        return t1, (table[1].take(key) if rows > 1 else t1)
 
     # Without a window M_n stops changing once b reaches b(n_max), so every
     # step after the freeze step k_freeze, the first to read that memory,
@@ -590,9 +623,9 @@ def simulate_paths(
 def _ring_chunk(params: WalkParams, schedule: MemorySchedule, n_max: int,
                 chunk_size: int) -> int:
     """chunk_size, cut so that a chunk's window ring takes no more bytes than
-    a time block of _TIME_BLOCK doubles for DEFAULT_CHUNK runs.  The ring
-    holds w(n_max) + 1 slots of each run's counts: (rows, runs) arrays in
-    the count dtype, with a row of -1 steps only at r > 0."""
+    a time block of _TIME_BLOCK doubles for DEFAULT_CHUNK runs, 32 MiB.  The
+    ring holds w(n_max) + 1 slots of each run's counts: (rows, runs) arrays
+    in the count dtype, with a row of -1 steps only at r > 0."""
     ring = ((schedule.split(n_max)[1] + 1) * (2 if params.r > 0.0 else 1)
             * _count_dtype(n_max).itemsize)
     return max(1, min(chunk_size, _TIME_BLOCK * DEFAULT_CHUNK * 8 // ring))

@@ -59,20 +59,6 @@ class RegimeReport:
     cdf_available: bool = False
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "drift": self.drift,
-            "normalization": self.normalization,
-            "alpha": self.alpha,
-            "limit_mean": self.limit_mean,
-            "limit_var": self.limit_var,
-            "atom": self.atom,
-            "component_var": self.component_var,
-            "cdf_available": self.cdf_available,
-            "note": self.note,
-        }
-
 
 def _normalization_tag(params: WalkParams, regime: str) -> str:
     if regime == DIFFUSIVE:

@@ -472,6 +472,53 @@ def test_window_ring_wraps_across_time_blocks(monkeypatch, schedule):
             assert got == reference_path(params, schedule, grid, 31, 7 + j), (params, j)
 
 
+@pytest.mark.parametrize("schedule, held", [
+    # a fixed window, whose size 10 holds from step 12 on
+    (MemorySchedule.last_fixed(10), [10]),
+    # a growing block whose sizes repeat: 1, 1, 2 (8 times), 3 (16), 4 (29),
+    # then 5 once, read by the freeze step 57
+    (MemorySchedule.first_increasing(GrowthRule(c=1.5, beta=0.3)), [1, 2, 3, 4]),
+    # a growing window: 1, 1, 3, 3, 4, 5, 5, ... up to 12 by step 100
+    (MemorySchedule.last_increasing(GrowthRule(kind="log", c=2.8)),
+     [1, 3, 5, 6, 7, 8, 9, 10, 11, 12]),
+])
+@pytest.mark.parametrize("params", [WalkParams(p=0.7, s=0.2), DELAYED])
+def test_cut_point_tables_reproduce_scalar_paths(monkeypatch, schedule, held, params):
+    # a memory whose size held over the last step reads its cut points from a
+    # table of every count it can hold: size + 1 entries at r = 0, and
+    # (size + 1)^2 (plus, minus) pairs at r > 0, built once per size that
+    # holds and only while the table has fewer entries than the 130 runs
+    runs, rows = 130, 2 if params.r > 0.0 else 1
+    tables, cut_points = [], ensemble._cut_points
+
+    def spy(p, q, r, w, size, plus, minus):
+        if len(plus) < runs:
+            tables.append((int(size), len(plus)))
+        return cut_points(p, q, r, w, size, plus, minus)
+
+    monkeypatch.setattr(ensemble, "_cut_points", spy)
+    grid = (3, 17, 40, 100)
+    chunk = _simulate_chunk(params, schedule, grid, 2**63 + 9, 2**64 - 60, 2**64 - 60 + runs)
+    assert tables == [(s, (s + 1) ** rows) for s in held if (s + 1) ** rows < runs]
+    for j in range(runs):
+        got = [(n, int(chunk[n][0][j]), int(chunk[n][1][j])) for n in grid]
+        assert got == reference_path(params, schedule, grid, 2**63 + 9, 2**64 - 60 + j), j
+
+
+def test_a_window_chunk_keeps_a_half_size_time_block():
+    # a trailing 10-step window steps every row of its time blocks, which
+    # hold 1024 x 4096 doubles, 32 MiB, for a DEFAULT_CHUNK chunk; blocks of
+    # 2048 steps would take the chunk's peak to about 65 MiB
+    tracemalloc.start()
+    try:
+        _simulate_chunk(WalkParams(p=0.6), MemorySchedule.last_fixed(10), (3000,), 5, 0,
+                        ensemble.DEFAULT_CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
 def test_frozen_tail_streams_through_a_small_buffer():
     # one 4096-run chunk used to hold a 64 MB time block and two 8 MB masks
     tracemalloc.start()
@@ -553,11 +600,11 @@ def test_a_capped_window_ring_leaves_the_ensemble_unchanged(monkeypatch, r):
 def test_window_ring_of_a_linear_window_is_capped_up_front():
     # last_increasing(c = 0.5, beta = 1) at n = 10^5 keeps a 50001-slot ring
     # of int32 counts: one 4096-run chunk would need 820 MB, so chunks hold
-    # at most 335 runs, 64 MiB at most, the bytes of a default time block;
+    # at most 167 runs, 32 MiB at most, the bytes of a default time block;
     # the trailing 10-step window keeps its chunk size
     schedule = MemorySchedule.last_increasing(GrowthRule(kind="power", c=0.5, beta=1.0))
     size = ensemble._ring_chunk(WalkParams(p=0.6), schedule, 10**5, ensemble.DEFAULT_CHUNK)
-    assert size <= 335
+    assert size <= 167
     assert size * 50_001 * 4 <= ensemble._TIME_BLOCK * ensemble.DEFAULT_CHUNK * 8
     assert ensemble._ring_chunk(WalkParams(p=0.6), MemorySchedule.last_fixed(10), 10**4,
                                 ensemble.DEFAULT_CHUNK) == ensemble.DEFAULT_CHUNK

@@ -3,6 +3,7 @@
 import ast
 import importlib
 from pathlib import Path
+from types import FunctionType
 
 import erwlab
 
@@ -32,13 +33,22 @@ _TEST_ONLY_EXPORTS = {
 }
 
 
-def test_every_exported_name_is_used_by_the_package_a_demo_or_the_benchmark():
-    # the package's names and each module's __all__; a name counts as used
-    # where code other than its definition and the re-exports refers to it,
-    # as a name, an imported name or any attribute of that name
+def _exports() -> dict:
+    """{name: object} of the package's names and of each module's __all__."""
+    exported = {name: value for name, value in vars(erwlab).items()
+                if not name.startswith("_") and not isinstance(value, type(erwlab))}
+    for path in sorted(Path(erwlab.__file__).parent.glob("*.py")):
+        if path.name != "__init__.py":
+            module = importlib.import_module(f"erwlab.{path.stem}")
+            exported.update((name, getattr(module, name)) for name in module.__all__)
+    return exported
+
+
+def _used_names() -> set:
+    """Every name, imported name or attribute that code other than the
+    re-exports refers to: the package's modules, demos/ and bench/."""
     root = Path(erwlab.__file__).parent
-    modules = [path for path in sorted(root.glob("*.py")) if path.name != "__init__.py"]
-    sources = list(modules)
+    sources = [path for path in sorted(root.glob("*.py")) if path.name != "__init__.py"]
     for folder in ("demos", "bench"):
         sources += sorted((root.parents[1] / folder).glob("*.py"))
     used = set()
@@ -50,9 +60,25 @@ def test_every_exported_name_is_used_by_the_package_a_demo_or_the_benchmark():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    exported = {name for name in vars(erwlab) if not name.startswith("_")
-                and not isinstance(getattr(erwlab, name), type(erwlab))}
-    for path in modules:
-        exported |= set(importlib.import_module(f"erwlab.{path.stem}").__all__)
-    assert sorted(exported - used - _TEST_ONLY_EXPORTS) == []
+    return used
+
+
+def test_every_exported_name_is_used_by_the_package_a_demo_or_the_benchmark():
+    # a name counts as used where code other than its definition and the
+    # re-exports refers to it, as a name, an imported name or any attribute
+    exported = set(_exports())
+    assert sorted(exported - _used_names() - _TEST_ONLY_EXPORTS) == []
     assert _TEST_ONLY_EXPORTS <= exported
+
+
+def test_every_public_method_of_an_exported_class_is_used():
+    # methods, constructors and properties defined by an exported class of
+    # the package; one counts as used where any attribute of its name is
+    used = _used_names()
+    unused = [f"{name}.{attr}"
+              for name, cls in sorted(_exports().items())
+              if isinstance(cls, type) and cls.__module__.startswith("erwlab")
+              for attr, value in vars(cls).items()
+              if not attr.startswith("_") and attr not in used
+              and isinstance(value, (FunctionType, classmethod, staticmethod, property))]
+    assert unused == []

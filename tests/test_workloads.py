@@ -87,12 +87,19 @@ def test_conjecture_probe_refuses_a_delayed_walk(capsys):
     assert "conjecture-probe experiment needs r = 0, got r=0.2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args", [
-    "conjecture-probe --m 5 --n 40 --runs 20",
-    "recent-augmented --schedule first-plus-recent --m 3 --k 4 --p 0.5 --r 0.3 "
-    "--n 40 --runs 20",
+# The runs of each walk.cut_points span, one span per _cut_points call.  The
+# two-valued probe walks last_fixed(5): steps 2..6 read memories of 1..5
+# steps over the 20 runs, and step 7, whose memory size held, builds the
+# table of counts 0..5 that steps 7..40 read.  The delayed experiment walks
+# first_plus_recent(m=3, recent=4) for 39 steps, then first_fixed(3) up to
+# its freeze step 4; a memory of 7 steps that may hold zeros would need a
+# table of 8 x 8 entries, more than the 20 runs, so every call is direct.
+@pytest.mark.parametrize("args, cut_point_runs", [
+    ("conjecture-probe --m 5 --n 40 --runs 20", [20] * 5 + [6]),
+    ("recent-augmented --schedule first-plus-recent --m 3 --k 4 --p 0.5 --r 0.3 "
+     "--n 40 --runs 20", [20] * (39 + 3)),
 ], ids=["two-valued", "delayed"])
-def test_benchmark_tracer_records_the_kernel_layers(tmp_path, args):
+def test_benchmark_tracer_records_the_kernel_layers(tmp_path, args, cut_point_runs):
     record = tmp_path / "record.json"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")])))
@@ -107,4 +114,4 @@ def test_benchmark_tracer_records_the_kernel_layers(tmp_path, args):
     for name, _, _, _, info in traced["spans"]:
         spans.setdefault(name, []).append(info)
     assert {"walk.cut_points", "ensemble.fill", "ensemble.chunk"} <= set(spans)
-    assert all(info == {"runs": 20} for info in spans["walk.cut_points"])
+    assert [info["runs"] for info in spans["walk.cut_points"]] == cut_point_runs
