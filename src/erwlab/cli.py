@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"), dest="fmt", default="csv",
                         help="report format (default csv)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="processes that simulate the ensemble, this one included")
+                        help="processes that simulate the ensemble, this one included "
+                             "(at most the CPUs this process may run on)")
     parser.add_argument("--tolerance", type=float, help="override the main verdict tolerance")
     parser.add_argument("--max-steps", type=int, dest="max_steps", default=5_000_000_000,
                         help="ensemble step budget (refuse larger requests)")
@@ -111,8 +112,9 @@ def parse_and_validate(
     Exits with status 2 through argparse for anything invalid, naming the
     violated constraint in the message.  That includes every need the
     experiment's record declares (ExperimentSpec checks them), a horizon
-    above the enumeration cap and an ensemble over the step budget, which
-    would otherwise fail only once the experiment runs.
+    above the enumeration cap, an ensemble over the step budget and more
+    threads than the CPUs this process may run on, which would otherwise
+    fail only once the experiment runs.
     """
     parser = parser or build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)

@@ -16,7 +16,9 @@ runs tasks from the back itself, the last pending one always among them.  A
 task simulates its chunks one by one and writes each chunk's S and N* at its
 offset into one array per checkpoint, in the narrowest signed integer dtype
 that holds -n_max..n_max (int8 up to n_max = 127); the reducer widens them
-to int64 in run order.
+to int64 in run order.  The pool is created, and concurrent.futures
+imported, only in _run_chunks when it starts helpers, so a run in one
+process never loads multiprocessing.
 
 Uniforms are drawn in time blocks of _TIME_BLOCK per run, a multiple of 4,
 into one time-major array (a row per step, a column per run), so each step
@@ -38,7 +40,11 @@ takes about 300 array operations over every (run, block of 4 uniforms) pair,
 so its cost per run grows with each block where the template's hardly does:
 it pays only for short fills of many runs.  Other fills keep the template,
 which draws _TILE runs at a time into a run-major stage and copies that into
-the block's columns.
+the block's columns.  Each chunk's _ChunkStreams builds its template at the
+first fill or raw call that draws from it, so a chunk whose fills are all
+batched and that streams no frozen tail, as every chunk of 5 x 10^5 runs of
+12 steps is, never imports numpy.random.  On numpy 1.x `import numpy` loads
+numpy.random anyway, and this saves nothing.
 
 This module holds the one simulation kernel, _simulate_chunk; a few paths
 (simulate_paths) are one chunk, and a single path is a chunk of one run.  The
@@ -90,7 +96,6 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TextIO
 
@@ -247,14 +252,16 @@ class _ChunkStreams:
     A fill of at most _SHORT_FILL uniforms for at least _SHORT_RUNS runs
     skips the template: _philox_uniforms computes the same blocks for every
     run at once, which beats a state write and a random() call per run on
-    short fills only.
+    short fills only.  The template is built by _template, at the first fill
+    or raw call that draws from it, so a chunk whose fills are all batched
+    and that streams no frozen tail never loads numpy.random (numpy 1.x
+    loads it with numpy itself).
     """
 
     _MASK = 0xFFFFFFFFFFFFFFFF
 
     def __init__(self, master_seed: int, run_lo: int):
-        self._tmpl = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        self._gen = np.random.Generator(self._tmpl)
+        self._tmpl = self._random = None
         self._run_lo = self._run = run_lo
         self._drawn = self._run_drawn = 0
         # one reusable state of plain ints: the setter copies it in, and
@@ -278,6 +285,14 @@ class _ChunkStreams:
                              "only a multiple of 4 leaves the output buffer empty")
         return drawn // 4
 
+    def _template(self):
+        """The template Philox and its Generator's random(), built at the
+        first call; any state is written before each use."""
+        if self._tmpl is None:
+            self._tmpl = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+            self._random = np.random.Generator(self._tmpl).random
+        return self._tmpl, self._random
+
     def seek(self, j: int, drawn: int) -> None:
         """Make the next raw call serve run run_lo + j from its draw `drawn` on."""
         self._run = self._run_lo + j
@@ -289,8 +304,9 @@ class _ChunkStreams:
         self._counter[0] = self._resume_at(self._run_drawn)
         self._run_drawn += nb
         self._key[1] = self._run & self._MASK
-        self._tmpl.state = self._state
-        return self._tmpl.random_raw(nb)
+        tmpl = self._template()[0]
+        tmpl.state = self._state
+        return tmpl.random_raw(nb)
 
     def fill(self, out: np.ndarray, nb: int) -> None:
         """Fill out[j, :nb] with the next nb uniforms of run run_lo + j; the
@@ -301,7 +317,7 @@ class _ChunkStreams:
             _philox_uniforms(rows, nb, self._key[0], self._run_lo, counter)
             return
         self._counter[0] = counter
-        tmpl, random, state, key = self._tmpl, self._gen.random, self._state, self._key
+        (tmpl, random), state, key = self._template(), self._state, self._key
         lo, mask = self._run_lo, self._MASK
         stage = np.empty((min(_TILE, len(rows)), nb))
         for j0 in range(0, len(rows), len(stage)):
@@ -666,6 +682,9 @@ def _run_chunks(tasks: list, workers: int) -> list[dict]:
     helpers = min(workers, len(tasks)) - 1
     if helpers < 1:
         return [_chunk_task(task) for task in tasks]
+    # loaded here, so that a run without helpers never imports multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
     results: list[Optional[dict]] = [None] * len(tasks)
     pending, running = deque(enumerate(tasks)), {}
     with ProcessPoolExecutor(max_workers=helpers) as pool:

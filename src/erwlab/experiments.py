@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TextIO
 
@@ -154,12 +155,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the machine's where that is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Fully resolved experiment request, including report destination.
 
     Refused with ValueError (BudgetError over the step budget) unless it
-    meets its experiment's record in EXPERIMENTS.
+    meets its experiment's record in EXPERIMENTS and asks for no more
+    workers than the CPUs this process may run on.
     """
 
     experiment: str
@@ -187,6 +197,10 @@ class ExperimentSpec:
             raise ValueError(f"need runs >= 1, got runs={self.runs}")
         if self.workers < 1:
             raise ValueError(f"need threads >= 1, got threads={self.workers}")
+        cpus = _usable_cpus()
+        if self.workers > cpus:
+            raise ValueError(f"need threads <= {cpus}, the CPUs this process may run on, "
+                             f"got threads={self.workers}")
         if need.delayed is not None and params.delayed != need.delayed:
             wanted = "0 < r < 1" if need.delayed else "r = 0"
             raise ValueError(f"{name} experiment needs {wanted}, got r={params.r}")
@@ -383,8 +397,8 @@ def delayed(spec: ExperimentSpec) -> ExperimentReport:
 def zeros(spec: ExperimentSpec) -> ExperimentReport:
     """Scaled nonzero-step count: exact mean formula plus Monte Carlo.
 
-    E(N*_n m^r / n) -> (1 - r)/Gamma(1 - r).  The limit's second moment has
-    no closed form here, so the empirical second moment is reported as data.
+    E(N*_n m^r / n) -> (1 - r)/Gamma(1 - r).  The Monte Carlo second moment
+    is reported as data; no verdict checks it.
     """
     params = spec.params
     tol_exact = spec.tolerance if spec.tolerance is not None else 0.05

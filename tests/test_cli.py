@@ -68,6 +68,43 @@ def test_rejections_name_the_constraint(argv, fragment, capsys):
     assert fragment in capsys.readouterr().err
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def test_threads_above_the_usable_cpus_are_refused_before_any_process_starts(
+        monkeypatch, capsys):
+    # one thread more than the CPUs this process may run on; main would
+    # otherwise cut 20000 runs into that many chunks and start a helper for
+    # every chunk but one
+    import concurrent.futures
+
+    cpus = _usable_cpus()
+    argv = ["clt-check", "--runs", "20000", "--threads", str(cpus + 1)]
+    started = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda *args, **kwargs: started.append(args))
+    monkeypatch.setattr(os, "fork", lambda: started.append("fork"))
+    for call in (parse_and_validate, main):
+        with pytest.raises(SystemExit) as exc:
+            call(argv)
+        assert exc.value.code == 2
+        assert f"need threads <= {cpus}, the CPUs this process may run on" in \
+            capsys.readouterr().err
+    assert started == []
+    assert parse_and_validate(argv[:-1] + [str(cpus)]).workers == cpus
+
+
+def test_threads_are_checked_against_the_cpu_count_without_an_affinity_mask(
+        monkeypatch, capsys):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert parse_and_validate(["clt-check", "--threads", "3"]).workers == 3
+    with pytest.raises(SystemExit):
+        parse_and_validate(["clt-check", "--threads", "4"])
+    assert "need threads <= 3" in capsys.readouterr().err
+
+
 def test_a_spec_built_in_python_is_refused_like_the_command_line(capsys):
     with pytest.raises(SystemExit):
         parse_and_validate(["moments", "--schedule", "last-fixed", "--m", "10"])

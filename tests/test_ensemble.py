@@ -1,12 +1,16 @@
 """Ensemble engine: determinism, stream discipline, and fit statistics."""
 
+import concurrent.futures
 import contextlib
 import io
 import math
 import os
 import signal
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -144,7 +148,7 @@ def _spy(monkeypatch, tmp_path) -> SimpleNamespace:
         log.tasks.append([list(task[-1]) for task in tasks])
         return run_chunks(tasks, workers)
 
-    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
     monkeypatch.setattr(ensemble, "_simulate_chunk", spy)
     monkeypatch.setattr(ensemble, "_run_chunks", spy_run_chunks)
     return log
@@ -790,6 +794,55 @@ def test_one_run_fills_are_never_batched(monkeypatch):
     assert seeks == [(j, 12) for j in range(4)]
     assert raws == ([12] * 7 + [1]) * 4
     assert fills == calls == [(4, 12)]
+
+
+def test_batched_fills_build_no_template():
+    # _SHORT_RUNS runs of 12 draws, then 20 more, are served without the
+    # template Philox; the first fill it serves builds it, and later ones
+    # reuse it
+    streams = _ChunkStreams(5, 0)
+    out = np.empty((ensemble._SHORT_RUNS, ensemble._SHORT_FILL + 4))
+    streams.fill(out, 12)
+    streams.fill(out, 20)
+    assert streams._tmpl is None
+    streams.fill(out, ensemble._SHORT_FILL + 4)
+    template = streams._tmpl
+    assert template is not None
+    streams.seek(0, 64)
+    streams.raw(4)
+    assert streams._tmpl is template
+    want = make_run_stream(5, ensemble._SHORT_RUNS - 1).random(68)
+    assert np.array_equal(out[-1, :ensemble._SHORT_FILL + 4], want[32:])
+
+
+_MODULES_AFTER = """
+import sys
+import erwlab.cli
+from erwlab import EnsembleConfig, GrowthRule, MemorySchedule, WalkParams, run_ensemble
+run_ensemble(WalkParams(p={p}), MemorySchedule.{schedule}, EnsembleConfig(runs=300, n_grid=({n},)))
+print(sorted(m for m in ("numpy.random", "concurrent.futures") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("p, schedule, n, loaded", [
+    # short-many's shape: one fill of 12 draws for 300 runs, batched
+    (0.7, "first_increasing(GrowthRule())", 12, []),
+    # window-walk's: a 100-step fill, drawn from the template
+    (0.6, "last_fixed(10)", 100, ["numpy.random"]),
+    # frozen-clt's: a batched head of 8 draws, then a streamed frozen tail
+    (0.6, "first_fixed(5)", 1100, ["numpy.random"]),
+], ids=["short-many", "window-walk", "frozen-clt"])
+def test_only_chunks_that_draw_from_the_template_load_numpy_random(p, schedule, n, loaded):
+    # in a fresh interpreter, a one-process ensemble loads numpy.random only
+    # where a chunk draws from the template Philox, and never starts a pool
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER.format(p=p, schedule=schedule, n=n)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[-2] == str(loaded)
 
 
 def test_batched_fill_scratch_is_bounded():
