@@ -27,19 +27,32 @@ state is just (key, counter = draws / 4) with an empty output buffer, so
 streams are resumed by writing that state, never by saving and restoring one
 per run.  Time blocks serve the per-step head of the walk and walks whose
 frozen tail is short; a long frozen tail is drawn run by run (see below).
-A block of 1024 steps for 4096 runs takes 32 MiB, the largest array of a
-walk that steps every row, such as one with a trailing window.
+
+A time block keeps each uniform u as its 16-bit prefix h = floor(u 2^16), an
+np.uint16, which is x >> 48 for the Philox output word x that random() makes
+the double u = (x >> 11) 2^-53.  A block of 1024 steps for 4096 runs so
+takes 8 MiB, not the 32 MiB of doubles, and it is the largest array of a
+walk that steps every row, such as one with a trailing window.  A step
+compares h with the prefix cut c = min(floor(t 2^16), 2^16 - 1) of each cut
+point t, and no decision changes: h < c gives u < (h + 1) 2^-16 <= c 2^-16
+<= t, and h > c gives u >= h 2^-16 > t, since c < 2^16 - 1 is then
+floor(t 2^16).  Only a tie, h = c, needs the exact double, 1 draw in 65536;
+the step recomputes it from that draw's Philox block (_ChunkStreams.uniform,
+plain ints, no template) and compares it with the run's t.  So a step pays
+one equality and one count per cut for its ties, and a direct step's cut
+points are made prefix cuts before its compares.
 
 Writing a run's state and calling random() costs about a microsecond,
 however few uniforms the run draws.  A short block for many runs, such as
 all 12 steps of a walk at n = 12, is therefore not drawn run by run: Philox
 is counter-based, so every (key, counter) block is computed for all runs at
 once with numpy's uint64 arithmetic, bit for bit as numpy's Philox gives it,
-each output word written as contiguous row segments of the block.  That
-takes about 300 array operations over every (run, block of 4 uniforms) pair,
-so its cost per run grows with each block where the template's hardly does:
-it pays only for short fills of many runs.  Other fills keep the template,
-which draws _TILE runs at a time into a run-major stage and copies that into
+each output word shifted to its prefix and written as contiguous row
+segments of the block.  That takes about 300 array operations over every
+(run, block of 4 uniforms) pair, so its cost per run grows with each block
+where the template's hardly does: it pays only for short fills of many runs.
+Other fills keep the template, which draws _TILE runs at a time into a
+run-major stage of doubles, scales it by 2^16 and copies it, truncated, into
 the block's columns.  Each chunk's _ChunkStreams builds its template at the
 first fill or raw call that draws from it, so a chunk whose fills are all
 batched and that streams no frozen tail, as every chunk of 5 x 10^5 runs of
@@ -66,13 +79,15 @@ and a checkpoint hands back S_n = plus - minus and N*_n = plus + minus.
 
 A memory whose size held over the last step, such as a full window or a
 growing block between its increments, takes its cut points from a table:
-_cut_points over every count it can hold, 0..size at r = 0 and every
-(plus, minus) pair at r > 0, once per size, then one take per run.  Its
-output does not depend on the counts' dtype, so the bits are those of the
-direct call.  A table is used only where it has fewer entries than the
+_cut_points over every count it can hold, 0..size at r = 0 and every (plus,
+minus) pair at r > 0, once per size, kept with their prefix cuts, then one
+take of prefix cuts per run; a tie reads its run's cut point from the table.
+Its output does not depend on the counts' dtype, so the bits are those of
+the direct call.  A table is used only where it has fewer entries than the
 chunk has runs; a memory that grows every step, such as full memory or the
-block of first-fixed(m) up to its freeze step, keeps the direct call.  So
-an r = 0 window step is a subtraction, a take, a compare and an add.
+block of first-fixed(m) up to its freeze step, keeps the direct call.  So an
+r = 0 window step is a subtraction, a take, a compare, a tie check and an
+add.
 
 A schedule without a window (w = 0 throughout) stops changing at the freeze
 step, the first k with b(k - 1) = b(n_max): k = m + 1 for first-fixed(m).
@@ -131,14 +146,21 @@ DEFAULT_MAX_STEPS = 5_000_000_000
 # resume at counter draws / 4, so every fill but the last must draw a
 # multiple of 4.  Each tail piece costs one Philox state write, so pieces are
 # long: 128 KB of words, which random_raw allocates afresh for each piece.
-# A time block of DEFAULT_CHUNK runs takes 32 MiB.  Shorter blocks mean more
-# fills, each a state write per run; on a window walk the cut-point tables
-# (thresholds in _simulate_chunk) pay for those of 1024-step blocks.
+# A time block of DEFAULT_CHUNK runs holds 16-bit prefixes in 8 MiB.
+# Shorter blocks mean more fills, each a state write per run; on a window
+# walk the cut-point tables (thresholds in _simulate_chunk) pay for those of
+# 1024-step blocks, and 512-step blocks of doubles were 13-16% slower.
 _TIME_BLOCK = 1024
 _TAIL_BLOCK = 16384
 if _TIME_BLOCK % 4 or _TAIL_BLOCK % 4:
     raise ValueError("_TIME_BLOCK and _TAIL_BLOCK must be multiples of 4, "
                      f"got {_TIME_BLOCK} and {_TAIL_BLOCK}")
+
+# A time block keeps the top _PREFIX_BITS bits of each Philox output word,
+# floor(u 2^16) of its uniform u, as np.uint16.  Fixed at 16 (the width of
+# the dtype); tests set it lower to make ties between a prefix and its cut
+# frequent.
+_PREFIX_BITS = 16
 
 # A fill of at most _SHORT_FILL uniforms for at least _SHORT_RUNS runs is
 # computed in numpy for every run at once (_philox_uniforms), in slabs of as
@@ -245,9 +267,11 @@ class _ChunkStreams:
     multiple of 4.
 
     Fills serve the runs of the chunk in step, from run_lo on, a time block
-    at a time.  seek(j, drawn) puts raw, and raw only, at run run_lo + j
-    after `drawn` draws; each raw call, a piece of that run's frozen tail,
-    carries on where the last stopped.
+    at a time, as 16-bit prefixes of the uniforms.  seek(j, drawn) puts raw,
+    and raw only, at run run_lo + j after `drawn` draws; each raw call, a
+    piece of that run's frozen tail, carries on where the last stopped.
+    uniform(j, drawn) recomputes one draw's exact double, and moves no
+    stream.
 
     A fill of at most _SHORT_FILL uniforms for at least _SHORT_RUNS runs
     skips the template: _philox_uniforms computes the same blocks for every
@@ -308,9 +332,18 @@ class _ChunkStreams:
         tmpl.state = self._state
         return tmpl.random_raw(nb)
 
+    def uniform(self, j: int, drawn: int) -> float:
+        """Draw `drawn` (from 0) of run run_lo + j, the double random() makes
+        of it, computed by _philox_words: no template, no stream moved."""
+        words = _philox_words(self._key[0], (self._run_lo + j) & self._MASK, drawn // 4)
+        return (words[drawn % 4] >> 11) * 2.0**-53
+
     def fill(self, out: np.ndarray, nb: int) -> None:
-        """Fill out[j, :nb] with the next nb uniforms of run run_lo + j; the
-        rows of out may be strided, as a time-major block's transpose's are."""
+        """Fill the np.uint16 out[j, :nb] with the _PREFIX_BITS-bit prefixes
+        floor(u 2^_PREFIX_BITS) of the next nb uniforms u of run run_lo + j;
+        the rows of out may be strided, as a time-major block's transpose's
+        are.  The template draws the doubles into a stage, which is scaled in
+        place, exactly, and cast, truncating, as it is copied into out."""
         rows, counter = out[:, :nb], self._resume_at(self._drawn)
         self._drawn += nb
         if len(rows) >= _SHORT_RUNS and nb <= _SHORT_FILL:
@@ -318,7 +351,7 @@ class _ChunkStreams:
             return
         self._counter[0] = counter
         (tmpl, random), state, key = self._template(), self._state, self._key
-        lo, mask = self._run_lo, self._MASK
+        lo, mask, scale = self._run_lo, self._MASK, 2.0**_PREFIX_BITS
         stage = np.empty((min(_TILE, len(rows)), nb))
         for j0 in range(0, len(rows), len(stage)):
             part = stage[:len(rows) - j0]
@@ -326,6 +359,7 @@ class _ChunkStreams:
                 key[1] = j & mask
                 tmpl.state = state
                 random(out=row)
+            part *= scale
             rows[j0:j0 + len(part)] = part
 
 
@@ -356,8 +390,23 @@ def _u64(value) -> np.ndarray:
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _M0, _M1 = ((_u64(m), _u64(m & 0xFFFFFFFF), _u64(m >> 32)) for m in _PHILOX_M)
-_LOW32, _SHIFT32, _SHIFT11 = _u64(0xFFFFFFFF), _u64(32), _u64(11)
-_TO_UNIT = np.array(2.0**-53)
+_LOW32, _SHIFT32 = _u64(0xFFFFFFFF), _u64(32)
+
+
+def _philox_words(key0: int, key1: int, counter: int) -> tuple[int, int, int, int]:
+    """The four outputs of numpy's Philox keyed (key0, key1) after its counter
+    was set to `counter`, in plain ints: the block of counter + 1, whose
+    256-bit value is carried across the four counter words."""
+    mask = 0xFFFFFFFFFFFFFFFF
+    (m0, m1), (w0, w1) = _PHILOX_M, _PHILOX_W
+    c = (counter + 1) & (2**256 - 1)
+    x0, x1, x2, x3 = (c >> s & mask for s in (0, 64, 128, 192))
+    for r in range(10):
+        if r:
+            key0, key1 = (key0 + w0) & mask, (key1 + w1) & mask
+        p0, p1 = m0 * x0, m1 * x2
+        x0, x1, x2, x3 = (p1 >> 64) ^ x1 ^ key0, p1 & mask, (p0 >> 64) ^ x3 ^ key1, p0 & mask
+    return x0, x1, x2, x3
 
 
 def _mulhilo(m, b, hi, lo, bh, t) -> None:
@@ -387,12 +436,14 @@ def _mulhilo(m, b, hi, lo, bh, t) -> None:
 
 
 def _philox_uniforms(out: np.ndarray, nb: int, key0: int, run_lo: int, counter: int) -> None:
-    """Fill out[j, :nb] with the uniforms that random() draws from Philox keyed
-    (key0, run_lo + j) after its counter was set to `counter`, in numpy.
+    """Fill the np.uint16 out[j, :nb] with the _PREFIX_BITS-bit prefixes of
+    the uniforms that random() draws from Philox keyed (key0, run_lo + j)
+    after its counter was set to `counter`, in numpy.
 
     numpy adds 1 to the counter before each block of four outputs, so the
-    blocks are those of counters counter + 1, counter + 2, ..., and output
-    x becomes the double (x >> 11) 2^-53.  Lanes are laid out (block, run),
+    blocks are those of counters counter + 1, counter + 2, ...  random()
+    makes output x the double u = (x >> 11) 2^-53, so floor(u 2^16) is
+    x >> 48, with no double made.  Lanes are laid out (block, run),
     and runs are taken in slabs through eight reused buffers of at most
     _SLAB_BYTES in all, so the scratch space stays fixed however many runs
     and draws are filled.  Word k of a block is written to columns k, k + 4,
@@ -413,7 +464,7 @@ def _philox_uniforms(out: np.ndarray, nb: int, key0: int, run_lo: int, counter: 
     x2_r2 = _u64([(p >> 64) ^ (c & mask) for c in prods])[:, None]
     x3_r2 = _u64(p & mask)
     keys0 = [_u64((key0 + r * w0) & mask) for r in range(10)]
-    step1 = _u64(w1)
+    step1, shift = _u64(w1), _u64(64 - _PREFIX_BITS)
     bufs = np.empty((8, blocks * size), dtype=np.uint64)
     ramp = np.arange(size, dtype=np.uint64)
     key1 = np.empty(size, dtype=np.uint64)
@@ -443,9 +494,8 @@ def _philox_uniforms(out: np.ndarray, nb: int, key0: int, run_lo: int, counter: 
         for k, word in enumerate((x0, x1, x2, x3)):
             cols = out[r0:r1, k:nb:4]
             word = word[:cols.shape[1]]
-            np.right_shift(word, _SHIFT11, out=word)
+            np.right_shift(word, shift, out=word)
             cols[...] = word.T
-            cols *= _TO_UNIT
 
 
 def _count_dtype(n_max: int) -> np.dtype:
@@ -499,15 +549,31 @@ def _simulate_chunk(
     walk = ring[0]
     window = np.empty((rows, count), dtype=dtype)
     both = np.empty((rows, count), dtype=dtype)
-    table = (np.empty(0),) * 2
+    table = (np.empty(0),) * 4
+    # a direct step's prefix cuts, rewritten at each such step
+    cuts, scratch = list(np.empty((rows, count), dtype=np.uint16)), np.empty(count)
+    scale, top = np.array(2.0**_PREFIX_BITS), np.array(2.0**_PREFIX_BITS - 1)
+
+    def prefix_cuts(t1, t2, out, floats) -> tuple[np.ndarray, np.ndarray]:
+        """The prefix cuts min(floor(t 2^b), 2^b - 1), b = _PREFIX_BITS, of
+        the cut points t1 and, at r > 0, t2, in the np.uint16 arrays of the
+        list out (a 2-d array's rows cost more to iterate); floats is
+        scratch of their shape."""
+        for t, c in zip((t1, t2), out):
+            np.multiply(t, scale, out=floats)
+            np.minimum(floats, top, out=floats)
+            c[...] = floats
+        return out[0], out[-1]
 
     def cut_points(size: int, counts) -> tuple[np.ndarray, np.ndarray]:
         return _cut_points(p, q, r, w, float(size), counts[0], counts[1] if rows > 1 else None)
 
-    def thresholds() -> tuple[np.ndarray, np.ndarray]:
-        """Every run's cut points for step n + 1, which reads M_n: from a
-        table of every count it can hold where its size held over the last
-        step and the table has fewer entries than the chunk has runs."""
+    def thresholds():
+        """Every run's cut points for step n + 1, which reads M_n, as the
+        prefix cuts (c1, c2) and exact(j) = (t1[j], t2[j]).  They come from
+        a table of every count the memory can hold, which keeps both, where
+        its size held over the last step and the table has fewer entries
+        than the chunk has runs."""
         nonlocal table, last
         if lo == n:
             mem, size = (walk if b == n else block), b
@@ -519,15 +585,29 @@ def _simulate_chunk(
         held, last = size == last, size
         entries = (size + 1) ** rows
         if not held or entries >= count:
-            return cut_points(size, mem)
+            t1, t2 = cut_points(size, mem)
+            return (*prefix_cuts(t1, t2, cuts, scratch), lambda j: (t1[j], t2[j]))
         if len(table[0]) != entries:
-            table = cut_points(size, np.indices((size + 1,) * rows).reshape(rows, entries))
+            t1, t2 = cut_points(size, np.indices((size + 1,) * rows).reshape(rows, entries))
+            table = (t1, t2, *prefix_cuts(t1, t2, list(np.empty((rows, entries), dtype=np.uint16)),
+                                          np.empty(entries)))
+        t1, t2, c1, c2 = table
         key = mem[0]
         if rows > 1:
             key = np.multiply(key, size + 1, dtype=np.intp)
             key += mem[1]
-        t1 = table[0].take(key)
-        return t1, (table[1].take(key) if rows > 1 else t1)
+        c1 = c1.take(key, mode="clip")
+        c2 = c2.take(key, mode="clip") if rows > 1 else c1
+        # at r = 0 the key is a view of the memory's counts, which the step's
+        # ties read before it moves them (a frozen block never moves)
+        return c1, c2, lambda j: (t1[key[j]], t2[key[j]])
+
+    def settle(row: np.ndarray, k: int, side: int) -> None:
+        """Decide the runs that `tie` marks in step k from their exact
+        uniforms: row[j] says it is below t1 (side 0) or not below t2 (side
+        1)."""
+        for j in np.flatnonzero(tie).tolist():
+            row[j] = (streams.uniform(j, k - 1) < exact(j)[side]) == (side == 0)
 
     # Without a window M_n stops changing once b reaches b(n_max), so every
     # step after the freeze step k_freeze, the first to read that memory,
@@ -545,20 +625,26 @@ def _simulate_chunk(
         if n_max - tail_from >= _TIME_BLOCK:
             head = tail_from
 
-    uniforms = np.empty((min(_TIME_BLOCK, head), count))
+    uniforms = np.empty((min(_TIME_BLOCK, head), count), dtype=np.uint16)
     # a step's rows: whether it is +1 and, where it can be 0, whether it is -1
     step = np.empty((rows, count), dtype=bool)
     up, down = step[0], step[-1]
-    t1, t2 = t1f, t2f
+    tie = np.empty(count, dtype=bool)
+    c1, c2 = prefix_cuts(t1f, t2f, list(np.empty((rows, 1), dtype=np.uint16)), np.empty(1))
+    exact = lambda j: (t1f, t2f)
     for done in range(0, head, _TIME_BLOCK):
         nb = min(_TIME_BLOCK, head - done)
         streams.fill(uniforms.T, nb)
-        for k, u in enumerate(uniforms[:nb], done + 1):
+        for k, h in enumerate(uniforms[:nb], done + 1):
             if 1 < k <= k_freeze:
-                t1, t2 = thresholds()
-            np.less(u, t1, out=up)
+                c1, c2, exact = thresholds()
+            np.less(h, c1, out=up)
+            if np.count_nonzero(np.equal(h, c1, out=tie)):
+                settle(up, k, 0)
             if rows > 1:
-                np.greater_equal(u, t2, out=down)
+                np.greater(h, c2, out=down)
+                if np.count_nonzero(np.equal(h, c2, out=tie)):
+                    settle(down, k, 1)
             b_k, win_k = schedule.split(k)
             if block is None and b_k < k:
                 # the block falls behind the walk for the first time, at
@@ -580,8 +666,9 @@ def _simulate_chunk(
     # The frozen tail, time block freed: each run resumes at draw `head`, in
     # pieces of raw words whose checkpoint segments are cut once for all runs.
     if head < k_freeze:
-        t1, t2 = thresholds()
-    uniforms = u = None
+        exact = thresholds()[2]
+    t1, t2 = exact(slice(None))
+    uniforms = h = None
     ends = [c for c in grid if head < c < n_max] + [n_max]
     pieces = []
     for p0 in range(head, n_max, _TAIL_BLOCK):
@@ -639,9 +726,10 @@ def simulate_paths(
 def _ring_chunk(params: WalkParams, schedule: MemorySchedule, n_max: int,
                 chunk_size: int) -> int:
     """chunk_size, cut so that a chunk's window ring takes no more bytes than
-    a time block of _TIME_BLOCK doubles for DEFAULT_CHUNK runs, 32 MiB.  The
-    ring holds w(n_max) + 1 slots of each run's counts: (rows, runs) arrays
-    in the count dtype, with a row of -1 steps only at r > 0."""
+    _TIME_BLOCK doubles for DEFAULT_CHUNK runs, 32 MiB: four times the time
+    block of 16-bit prefixes, the cap the ring had when blocks held doubles.
+    The ring holds w(n_max) + 1 slots of each run's counts: (rows, runs)
+    arrays in the count dtype, with a row of -1 steps only at r > 0."""
     ring = ((schedule.split(n_max)[1] + 1) * (2 if params.r > 0.0 else 1)
             * _count_dtype(n_max).itemsize)
     return max(1, min(chunk_size, _TIME_BLOCK * DEFAULT_CHUNK * 8 // ring))

@@ -510,9 +510,9 @@ def test_cut_point_tables_reproduce_scalar_paths(monkeypatch, schedule, held, pa
 
 
 def test_a_window_chunk_keeps_a_half_size_time_block():
-    # a trailing 10-step window steps every row of its time blocks, which
-    # hold 1024 x 4096 doubles, 32 MiB, for a DEFAULT_CHUNK chunk; blocks of
-    # 2048 steps would take the chunk's peak to about 65 MiB
+    # a trailing 10-step window steps every row of its time blocks, 1024
+    # steps for a DEFAULT_CHUNK chunk; as doubles they took 32 MiB, and blocks
+    # of 2048 doubles took the chunk's peak to about 65 MiB
     tracemalloc.start()
     try:
         _simulate_chunk(WalkParams(p=0.6), MemorySchedule.last_fixed(10), (3000,), 5, 0,
@@ -521,6 +521,18 @@ def test_a_window_chunk_keeps_a_half_size_time_block():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
+
+
+def test_a_window_chunk_keeps_16_bit_prefixes_in_its_time_block():
+    # the same chunk's 1024 x 4096 block of uint16 prefixes takes 8 MiB
+    tracemalloc.start()
+    try:
+        _simulate_chunk(WalkParams(p=0.6), MemorySchedule.last_fixed(10), (3000,), 5, 0,
+                        ensemble.DEFAULT_CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_frozen_tail_streams_through_a_small_buffer():
@@ -614,6 +626,16 @@ def test_window_ring_of_a_linear_window_is_capped_up_front():
                                 ensemble.DEFAULT_CHUNK) == ensemble.DEFAULT_CHUNK
 
 
+# a fill never writes this into cells past its draws (a prefix could be
+# 0xFFFF, but only where the fill writes)
+_UNSET = 0xFFFF
+
+
+def _prefixes(uniforms: np.ndarray) -> np.ndarray:
+    """floor(u 2^16) of each uniform u: what a fill writes for it."""
+    return np.floor(uniforms * 2.0**16).astype(np.uint16)
+
+
 @pytest.mark.parametrize("seed, run_lo", [
     (2**63 + 12345, 0),
     (2**64 - 1, 2**63),
@@ -623,20 +645,20 @@ def test_chunk_streams_resume_each_run_stream(seed, run_lo):
     # consecutive fills continue every run's own stream, across key wrap-around
     count, sizes = 3, (8, 2048, 4, 5)
     streams = _ChunkStreams(seed, run_lo)
-    out = np.full((count, 2048), np.nan)
+    out = np.full((count, 2048), _UNSET, dtype=np.uint16)
     parts = [[] for _ in range(count)]
     for nb in sizes:
         streams.fill(out, nb)
         for j in range(count):
             parts[j].append(out[j, :nb].copy())
     for j in range(count):
-        want = make_run_stream(seed, run_lo + j).random(sum(sizes))
+        want = _prefixes(make_run_stream(seed, run_lo + j).random(sum(sizes)))
         assert np.array_equal(np.concatenate(parts[j]), want), j
 
 
 def test_chunk_streams_refuse_resume_inside_philox_block():
     streams = _ChunkStreams(5, 0)
-    out = np.empty((2, 8))
+    out = np.empty((2, 8), dtype=np.uint16)
     streams.fill(out, 6)
     with pytest.raises(ValueError, match="multiple of 4"):
         streams.fill(out, 4)
@@ -659,17 +681,18 @@ def test_chunk_streams_seek_one_run(seed, run_lo):
     # later draw, piece after piece, across key wrap-around; fills are not
     # moved and carry on every run's stream
     streams = _ChunkStreams(seed, run_lo)
-    streams.fill(np.empty((3, 8)), 8)
+    streams.fill(np.empty((3, 8), dtype=np.uint16), 8)
     for j in (2, 0, 1):
         streams.seek(j, 12)
         parts = [streams.raw(nb) for nb in (16, 4, 7)]
         assert all(part.dtype == np.uint64 for part in parts)
         want = make_run_stream(seed, run_lo + j).bit_generator.random_raw(12 + 27)[12:]
         assert np.array_equal(np.concatenate(parts), want), j
-    out = np.empty((3, 4))
+    out = np.empty((3, 4), dtype=np.uint16)
     streams.fill(out, 4)
     for j in range(3):
-        assert np.array_equal(out[j], make_run_stream(seed, run_lo + j).random(12)[8:]), j
+        want = _prefixes(make_run_stream(seed, run_lo + j).random(12)[8:])
+        assert np.array_equal(out[j], want), j
 
 
 @st.composite
@@ -735,14 +758,14 @@ def test_batched_fill_matches_run_streams(monkeypatch, seed, run_lo, drawn, nb):
     calls = _batched_fills(monkeypatch)
     streams = _ChunkStreams(seed, run_lo)
     if drawn:
-        streams.fill(np.empty((7, drawn)), drawn)
-    out = np.full((7, ensemble._SHORT_FILL + 2), np.nan)
+        streams.fill(np.empty((7, drawn), dtype=np.uint16), drawn)
+    out = np.full((7, ensemble._SHORT_FILL + 2), _UNSET, dtype=np.uint16)
     streams.fill(out, nb)
     assert calls[-1] == (7, nb)
     for j in range(7):
-        want = make_run_stream(seed, run_lo + j).random(drawn + nb)[drawn:]
+        want = _prefixes(make_run_stream(seed, run_lo + j).random(drawn + nb)[drawn:])
         assert np.array_equal(out[j, :nb], want), j
-    assert np.isnan(out[:, nb:]).all()
+    assert (out[:, nb:] == _UNSET).all()
 
 
 def test_short_fills_of_many_runs_are_batched(monkeypatch):
@@ -750,21 +773,22 @@ def test_short_fills_of_many_runs_are_batched(monkeypatch):
     # one run fewer or one draw over _SHORT_FILL is not
     calls = _batched_fills(monkeypatch)
     runs = ensemble._SHORT_RUNS
-    _ChunkStreams(5, 0).fill(np.empty((runs - 1, 12)), 12)
-    _ChunkStreams(5, 0).fill(np.empty((runs, 64)), ensemble._SHORT_FILL + 1)
+    _ChunkStreams(5, 0).fill(np.empty((runs - 1, 12), dtype=np.uint16), 12)
+    _ChunkStreams(5, 0).fill(np.empty((runs, 64), dtype=np.uint16), ensemble._SHORT_FILL + 1)
     assert calls == []
-    out = np.empty((runs, 12))
+    out = np.empty((runs, 12), dtype=np.uint16)
     _ChunkStreams(5, 2**64 - 1).fill(out, 12)
     assert calls == [(runs, 12)]
     for j in (0, 1, runs - 1):
-        assert np.array_equal(out[j], make_run_stream(5, 2**64 - 1 + j).random(12)), j
+        want = _prefixes(make_run_stream(5, 2**64 - 1 + j).random(12))
+        assert np.array_equal(out[j], want), j
 
 
 def test_batched_fill_refuses_resume_inside_philox_block(monkeypatch):
     monkeypatch.setattr(ensemble, "_SHORT_RUNS", 2)
     calls = _batched_fills(monkeypatch)
     streams = _ChunkStreams(5, 0)
-    out = np.empty((2, 8))
+    out = np.empty((2, 8), dtype=np.uint16)
     streams.fill(out, 6)
     assert calls == [(2, 6)]
     with pytest.raises(ValueError, match="multiple of 4"):
@@ -801,7 +825,7 @@ def test_batched_fills_build_no_template():
     # template Philox; the first fill it serves builds it, and later ones
     # reuse it
     streams = _ChunkStreams(5, 0)
-    out = np.empty((ensemble._SHORT_RUNS, ensemble._SHORT_FILL + 4))
+    out = np.empty((ensemble._SHORT_RUNS, ensemble._SHORT_FILL + 4), dtype=np.uint16)
     streams.fill(out, 12)
     streams.fill(out, 20)
     assert streams._tmpl is None
@@ -811,35 +835,40 @@ def test_batched_fills_build_no_template():
     streams.seek(0, 64)
     streams.raw(4)
     assert streams._tmpl is template
-    want = make_run_stream(5, ensemble._SHORT_RUNS - 1).random(68)
+    want = _prefixes(make_run_stream(5, ensemble._SHORT_RUNS - 1).random(68))
     assert np.array_equal(out[-1, :ensemble._SHORT_FILL + 4], want[32:])
 
 
 _MODULES_AFTER = """
 import sys
 import erwlab.cli
-from erwlab import EnsembleConfig, GrowthRule, MemorySchedule, WalkParams, run_ensemble
+from erwlab import EnsembleConfig, GrowthRule, MemorySchedule, WalkParams, ensemble, run_ensemble
+ensemble._PREFIX_BITS = {bits}
 run_ensemble(WalkParams(p={p}), MemorySchedule.{schedule}, EnsembleConfig(runs=300, n_grid=({n},)))
 print(sorted(m for m in ("numpy.random", "concurrent.futures") if m in sys.modules))
 """
 
 
-@pytest.mark.parametrize("p, schedule, n, loaded", [
+@pytest.mark.parametrize("p, schedule, n, bits, loaded", [
     # short-many's shape: one fill of 12 draws for 300 runs, batched
-    (0.7, "first_increasing(GrowthRule())", 12, []),
+    (0.7, "first_increasing(GrowthRule())", 12, 16, []),
+    # the same with 4-bit prefixes, whose ties (1 draw in 16) are settled
+    # without the template
+    (0.7, "first_increasing(GrowthRule())", 12, 4, []),
     # window-walk's: a 100-step fill, drawn from the template
-    (0.6, "last_fixed(10)", 100, ["numpy.random"]),
+    (0.6, "last_fixed(10)", 100, 16, ["numpy.random"]),
     # frozen-clt's: a batched head of 8 draws, then a streamed frozen tail
-    (0.6, "first_fixed(5)", 1100, ["numpy.random"]),
-], ids=["short-many", "window-walk", "frozen-clt"])
-def test_only_chunks_that_draw_from_the_template_load_numpy_random(p, schedule, n, loaded):
+    (0.6, "first_fixed(5)", 1100, 16, ["numpy.random"]),
+], ids=["short-many", "short-many-ties", "window-walk", "frozen-clt"])
+def test_only_chunks_that_draw_from_the_template_load_numpy_random(p, schedule, n, bits, loaded):
     # in a fresh interpreter, a one-process ensemble loads numpy.random only
     # where a chunk draws from the template Philox, and never starts a pool
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = _MODULES_AFTER.format(p=p, schedule=schedule, n=n, bits=bits)
     done = subprocess.run(
-        [sys.executable, "-c", _MODULES_AFTER.format(p=p, schedule=schedule, n=n)],
+        [sys.executable, "-c", script],
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n")[-2] == str(loaded)
@@ -850,7 +879,7 @@ def test_batched_fill_scratch_is_bounded():
     # _SLAB_BYTES, however many draws each run takes, where the whole
     # chunk's lanes would take about 0.8 MB at 12 draws and 2 MB at 32
     for nb in (12, 20, ensemble._SHORT_FILL):
-        out = np.empty((4096, nb))
+        out = np.empty((4096, nb), dtype=np.uint16)
         streams = _ChunkStreams(3, 0)
         tracemalloc.start()
         try:
@@ -876,17 +905,18 @@ def test_fill_into_a_time_major_block_matches_run_streams(monkeypatch, path, run
     calls = _batched_fills(monkeypatch)
     seed, run_lo, sizes = 2**63 + 11, 2**64 - 50, (8, ensemble._SHORT_FILL, 7)
     streams = _ChunkStreams(seed, run_lo)
-    block = np.empty((max(sizes), runs))
+    block = np.empty((max(sizes), runs), dtype=np.uint16)
     parts = []
     for nb in sizes:
-        block.fill(np.nan)
+        block.fill(_UNSET)
         streams.fill(block.T, nb)
-        assert np.isnan(block[nb:]).all()
+        assert (block[nb:] == _UNSET).all()
         parts.append(block[:nb].copy())
     drawn = sum(sizes)
     got = np.concatenate(parts)
     for j in range(runs):
-        assert np.array_equal(got[:, j], make_run_stream(seed, run_lo + j).random(drawn)), j
+        want = _prefixes(make_run_stream(seed, run_lo + j).random(drawn))
+        assert np.array_equal(got[:, j], want), j
     assert calls == ([(runs, nb) for nb in sizes] if path == "batched" else [])
     for j in {0, runs // 2, runs - 1}:
         streams.seek(j, 12)
@@ -1044,3 +1074,68 @@ def test_summary_csv_shape():
     assert lines[1] == "n,m_n,scaled_mean,scaled_var,skew,ks,atom_fraction"
     assert len(lines) == 4
     assert lines[2].split(",")[0] == "10"
+
+
+@pytest.mark.parametrize("key0, key1", [(0, 0), (2**64 - 1, 2**64 - 1), (12345, 2**63 + 7)])
+@pytest.mark.parametrize("counter", [0, 5, 2**64 - 1, 2**128 + 2**64 - 1, 2**256 - 1])
+def test_philox_words_are_numpys_philox(key0, key1, counter):
+    # the block of counter + 1, carried into the second word at 2^64 - 1 and
+    # wrapped to zero at 2^256 - 1, from plain ints
+    generator = np.random.Philox(key=np.array([key0, key1], dtype=np.uint64))
+    state = generator.state
+    state["state"]["counter"] = np.array([counter >> s & (2**64 - 1) for s in (0, 64, 128, 192)],
+                                         dtype=np.uint64)
+    state["buffer_pos"] = 4
+    generator.state = state
+    assert ensemble._philox_words(key0, key1, counter) == tuple(generator.random_raw(4).tolist())
+
+
+def test_chunk_streams_recompute_one_exact_uniform():
+    # uniform(j, drawn) is draw `drawn` of run run_lo + j, keys wrapping past
+    # 2^64 - 1, and leaves the fills where they were
+    streams = _ChunkStreams(-7, 2**64 - 2)
+    out = np.empty((4, 8), dtype=np.uint16)
+    streams.fill(out, 8)
+    for j in range(4):
+        want = make_run_stream(-7, 2**64 - 2 + j).random(13)
+        assert [streams.uniform(j, d) for d in (0, 3, 4, 12)] == want[[0, 3, 4, 12]].tolist(), j
+    streams.fill(out, 4)
+    assert np.array_equal(out[3, :4], _prefixes(make_run_stream(-7, 1).random(12)[8:]))
+
+
+@pytest.mark.parametrize("bits", [2, 4])
+@pytest.mark.parametrize("path", ["template", "batched"])
+@pytest.mark.parametrize("params", [WalkParams(p=0.7, s=0.2), DELAYED], ids=["r0", "delayed"])
+@pytest.mark.parametrize("schedule, n_max, head", [
+    # a 4-step window: direct steps while it fills, then table steps
+    (MemorySchedule.last_fixed(4), 40, 40),
+    # a growing block whose sizes repeat: table and direct steps
+    (MemorySchedule.first_increasing(GrowthRule(c=1.5, beta=0.3)), 40, 40),
+    # first-fixed(5) freezes at step 6, and its frozen rows run to step 20
+    # across the edge of the 16-step blocks
+    (MemorySchedule.first_fixed(5), 20, 20),
+    # a head of 8 steps, then a streamed frozen tail
+    (MemorySchedule.first_fixed(5), 40, 8),
+], ids=["window", "growing", "frozen-rows", "frozen-tail"])
+def test_ties_between_prefixes_and_cuts_are_settled_exactly(monkeypatch, bits, path, params,
+                                                             schedule, n_max, head):
+    # with 2- or 4-bit prefixes a quarter or a sixteenth of the compares tie,
+    # and every tie is settled from the draw's exact uniform: the chunk is
+    # the reference's, bit for bit, on 70 runs whose keys wrap past 2^64 - 1
+    monkeypatch.setattr(ensemble, "_PREFIX_BITS", bits)
+    monkeypatch.setattr(ensemble, "_TIME_BLOCK", 16)
+    monkeypatch.setattr(ensemble, "_SHORT_RUNS", 1 if path == "batched" else 10**9)
+    calls = _batched_fills(monkeypatch)
+    ties, uniform = [], _ChunkStreams.uniform
+    monkeypatch.setattr(_ChunkStreams, "uniform",
+                        lambda self, j, drawn: (ties.append(drawn), uniform(self, j, drawn))[1])
+    seed, run_lo, runs = 2**63 + 5, 2**64 - 30, 70
+    grid = (1, 9, 16, 17, n_max)
+    chunk = _simulate_chunk(params, schedule, grid, seed, run_lo, run_lo + runs)
+    for j in range(runs):
+        got = [(n, int(chunk[n][0][j]), int(chunk[n][1][j])) for n in grid]
+        assert got == reference_path(params, schedule, grid, seed, run_lo + j), j
+    assert (len(calls) > 0) == (path == "batched")
+    # ties at the first and last steps of the head, and on both sides of
+    # the edge between its blocks where it has one
+    assert {0, head - 1} | ({15, 16} if head > 16 else set()) <= set(ties)
