@@ -28,11 +28,12 @@ streams are resumed by writing that state, never by saving and restoring one
 per run.  Time blocks serve the per-step head of the walk and walks whose
 frozen tail is short; a long frozen tail is drawn run by run (see below).
 
-A time block keeps each uniform u as its 16-bit prefix h = floor(u 2^16), an
-np.uint16, which is x >> 48 for the Philox output word x that random() makes
-the double u = (x >> 11) 2^-53.  A block of 1024 steps for 4096 runs so
-takes 8 MiB, not the 32 MiB of doubles, and it is the largest array of a
-walk that steps every row, such as one with a trailing window.  A step
+Streams are drawn as their Philox output words; make_run_stream's random()
+makes word x the uniform u = (x >> 11) 2^-53.  A time block keeps each u as
+its 16-bit prefix h = floor(u 2^16) = x >> 48, an np.uint16.  A block of
+1024 steps for 4096 runs so takes 8 MiB, not the 32 MiB of doubles, and it
+is the largest array of a walk that steps every row, such as one with a
+trailing window.  A step
 compares h with the prefix cut c = min(floor(t 2^16), 2^16 - 1) of each cut
 point t, and no decision changes: h < c gives u < (h + 1) 2^-16 <= c 2^-16
 <= t, and h > c gives u >= h 2^-16 > t, since c < 2^16 - 1 is then
@@ -42,7 +43,7 @@ plain ints, no template) and compares it with the run's t.  So a step pays
 one equality and one count per cut for its ties, and a direct step's cut
 points are made prefix cuts before its compares.
 
-Writing a run's state and calling random() costs about a microsecond,
+Writing a run's state and drawing its words costs about a microsecond,
 however few uniforms the run draws.  A short block for many runs, such as
 all 12 steps of a walk at n = 12, is therefore not drawn run by run: Philox
 is counter-based, so every (key, counter) block is computed for all runs at
@@ -51,13 +52,14 @@ each output word shifted to its prefix and written as contiguous row
 segments of the block.  That takes about 300 array operations over every
 (run, block of 4 uniforms) pair, so its cost per run grows with each block
 where the template's hardly does: it pays only for short fills of many runs.
-Other fills keep the template, which draws _TILE runs at a time into a
-run-major stage of doubles, scales it by 2^16 and copies it, truncated, into
-the block's columns.  Each chunk's _ChunkStreams builds its template at the
-first fill or raw call that draws from it, so a chunk whose fills are all
-batched and that streams no frozen tail, as every chunk of 5 x 10^5 runs of
-12 steps is, never imports numpy.random.  On numpy 1.x `import numpy` loads
-numpy.random anyway, and this saves nothing.
+Other fills draw each run's words from a template Philox whose state is
+written per run (_ChunkStreams.words), _TILE runs at a time into a run-major
+stage of words, which is shifted to prefixes in place and copied into the
+block's columns.  Each chunk's _ChunkStreams builds its template at the
+first words call, so a chunk whose fills are all batched and that streams
+no frozen tail, as every chunk of 5 x 10^5 runs of 12 steps is, never
+imports numpy.random.  On numpy 1.x `import numpy` loads numpy.random
+anyway, and this saves nothing.
 
 This module holds the one simulation kernel, _simulate_chunk; a few paths
 (simulate_paths) are one chunk, and a single path is a chunk of one run.  The
@@ -97,11 +99,11 @@ t1, the +1 steps, and at or above t2, the -1 steps, which are added to the
 walk's counts.  Time blocks then stop at the head: steps 1..k - 1 rounded up
 to a multiple of 4, whose few frozen rows are stepped like the others.  Each
 run's frozen tail resumes its stream at counter head / 4 and is drawn in
-pieces of _TAIL_BLOCK raw 64-bit words, never made doubles: u < t holds
-exactly when the word is below the integer cut _word_cut(t), computed once
-per run.  Each stretch between checkpoints takes a compare per cut, one if
-the cuts are equal (always at r = 0), and the counts are added to the walk's
-after the last run.  A tail shorter than _TIME_BLOCK, where a loop over runs
+pieces of _TAIL_BLOCK words, never made doubles: u < t holds exactly when
+the word is below the integer cut _word_cut(t), computed once per run.  Each
+stretch between checkpoints takes a compare per cut, one if the cuts are
+equal (always at r = 0), and the counts are added to the walk's after the
+last run.  A tail shorter than _TIME_BLOCK, where a loop over runs
 would cost more than it saves, stays in the time blocks, stepped like the
 head's frozen rows.
 """
@@ -142,7 +144,7 @@ DEFAULT_CHUNK = 4096
 DEFAULT_MAX_STEPS = 5_000_000_000
 
 # Draws per run per stream fill: _TIME_BLOCK uniforms for every run of a
-# chunk at once, _TAIL_BLOCK raw words for one run's frozen tail.  Streams
+# chunk at once, _TAIL_BLOCK words for one run's frozen tail.  Streams
 # resume at counter draws / 4, so every fill but the last must draw a
 # multiple of 4.  Each tail piece costs one Philox state write, so pieces are
 # long: 128 KB of words, which random_raw allocates afresh for each piece.
@@ -174,8 +176,14 @@ _SHORT_FILL = 32
 _SLAB_BYTES = 288 * 1024
 
 # Runs per run-major stage of a template fill into a time-major block:
-# 512 KB of stage for _TIME_BLOCK draws.
+# 512 KB of stage words for _TIME_BLOCK draws.
 _TILE = 64
+
+# The most bytes a chunk's window ring may take: 32 MiB, four times a time
+# block of DEFAULT_CHUNK runs.  It is what a block of doubles took, so the
+# chunks of a long window did not shrink when the block did: a linear window
+# at n = 10^5 runs chunks of at most 167 runs, where 8 MiB would allow 41.
+_RING_BYTES = 32 * 2**20
 
 # The pool's unit of work is a task of whole chunks; an ensemble of many
 # chunks is cut into at most this many tasks per worker.  On 124 chunks of a
@@ -202,7 +210,6 @@ class EnsembleConfig:
     master_seed: int = 12345
     scaled_statistic: str = "sqrt(m)/n"
     workers: int = 1
-    chunk_size: int = DEFAULT_CHUNK
     max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self):
@@ -212,8 +219,6 @@ class EnsembleConfig:
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
             raise ValueError("n_grid must be strictly increasing and >= 1")
         object.__setattr__(self, "n_grid", grid)
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -255,39 +260,35 @@ def schedule_alpha(schedule: MemorySchedule) -> float:
 
 
 class _ChunkStreams:
-    """Per-run Philox streams served through one template bit generator.
+    """Per-run Philox streams of a chunk, drawn as 64-bit output words.
 
     Run j's stream is Philox4x64 keyed by (master_seed, run_lo + j) with the
     counter starting at zero, exactly as make_run_stream builds it.  Each
-    counter value yields four 64-bit outputs and random() takes one per
-    double, so after d draws, with d a multiple of 4, a stream's whole state
-    is (key, counter = d / 4) with its output buffer used up.  Every fill or
-    raw call therefore writes that state into the shared template, and one
-    that would resume mid-buffer is refused: all but the last must draw a
-    multiple of 4.
+    counter value yields four 64-bit outputs x, and make_run_stream's
+    random() makes each the uniform u = (x >> 11) 2^-53, so after d draws,
+    with d a multiple of 4, a stream's whole state is (key, counter = d / 4)
+    with its output buffer used up.  words(j, drawn, nb) writes that state
+    into one shared template Philox and returns its next nb outputs; it
+    holds no position of its own, and one that would resume mid-buffer is
+    refused.  The template is built at the first words call.
 
     Fills serve the runs of the chunk in step, from run_lo on, a time block
-    at a time, as 16-bit prefixes of the uniforms.  seek(j, drawn) puts raw,
-    and raw only, at run run_lo + j after `drawn` draws; each raw call, a
-    piece of that run's frozen tail, carries on where the last stopped.
-    uniform(j, drawn) recomputes one draw's exact double, and moves no
-    stream.
+    at a time, as 16-bit prefixes of the uniforms.  uniform(j, drawn)
+    recomputes one draw's exact double in plain ints, and needs no template.
 
     A fill of at most _SHORT_FILL uniforms for at least _SHORT_RUNS runs
     skips the template: _philox_uniforms computes the same blocks for every
-    run at once, which beats a state write and a random() call per run on
-    short fills only.  The template is built by _template, at the first fill
-    or raw call that draws from it, so a chunk whose fills are all batched
-    and that streams no frozen tail never loads numpy.random (numpy 1.x
-    loads it with numpy itself).
+    run at once, which beats a state write per run on short fills only.  So
+    a chunk whose fills are all batched and that streams no frozen tail
+    never loads numpy.random (numpy 1.x loads it with numpy itself).
     """
 
     _MASK = 0xFFFFFFFFFFFFFFFF
 
     def __init__(self, master_seed: int, run_lo: int):
-        self._tmpl = self._random = None
-        self._run_lo = self._run = run_lo
-        self._drawn = self._run_drawn = 0
+        self._tmpl = None
+        self._run_lo = run_lo
+        self._drawn = 0
         # one reusable state of plain ints: the setter copies it in, and
         # reads of list items are cheaper than of numpy arrays
         self._key = [master_seed & self._MASK, 0]
@@ -309,28 +310,15 @@ class _ChunkStreams:
                              "only a multiple of 4 leaves the output buffer empty")
         return drawn // 4
 
-    def _template(self):
-        """The template Philox and its Generator's random(), built at the
-        first call; any state is written before each use."""
+    def words(self, j: int, drawn: int, nb: int) -> np.ndarray:
+        """Outputs drawn..drawn + nb - 1 (from 0) of run run_lo + j, as a new
+        np.uint64 array; no other stream and no fill is moved."""
+        self._counter[0] = self._resume_at(drawn)
+        self._key[1] = (self._run_lo + j) & self._MASK
         if self._tmpl is None:
             self._tmpl = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-            self._random = np.random.Generator(self._tmpl).random
-        return self._tmpl, self._random
-
-    def seek(self, j: int, drawn: int) -> None:
-        """Make the next raw call serve run run_lo + j from its draw `drawn` on."""
-        self._run = self._run_lo + j
-        self._run_drawn = drawn
-
-    def raw(self, nb: int) -> np.ndarray:
-        """The next nb 64-bit outputs of the run that seek chose, as a new
-        array; random() would have made output x the double (x >> 11) 2^-53."""
-        self._counter[0] = self._resume_at(self._run_drawn)
-        self._run_drawn += nb
-        self._key[1] = self._run & self._MASK
-        tmpl = self._template()[0]
-        tmpl.state = self._state
-        return tmpl.random_raw(nb)
+        self._tmpl.state = self._state
+        return self._tmpl.random_raw(nb)
 
     def uniform(self, j: int, drawn: int) -> float:
         """Draw `drawn` (from 0) of run run_lo + j, the double random() makes
@@ -340,26 +328,24 @@ class _ChunkStreams:
 
     def fill(self, out: np.ndarray, nb: int) -> None:
         """Fill the np.uint16 out[j, :nb] with the _PREFIX_BITS-bit prefixes
-        floor(u 2^_PREFIX_BITS) of the next nb uniforms u of run run_lo + j;
-        the rows of out may be strided, as a time-major block's transpose's
-        are.  The template draws the doubles into a stage, which is scaled in
-        place, exactly, and cast, truncating, as it is copied into out."""
-        rows, counter = out[:, :nb], self._resume_at(self._drawn)
+        floor(u 2^_PREFIX_BITS) = x >> (64 - _PREFIX_BITS) of the next nb
+        uniforms u, output words x, of run run_lo + j; the rows of out may be
+        strided, as a time-major block's transpose's are.  Words are drawn
+        _TILE runs at a time into a contiguous stage, shifted there and
+        copied into out; shifting each run's words into a strided row took
+        about twice as long."""
+        rows, drawn = out[:, :nb], self._drawn
+        counter = self._resume_at(drawn)
         self._drawn += nb
         if len(rows) >= _SHORT_RUNS and nb <= _SHORT_FILL:
             _philox_uniforms(rows, nb, self._key[0], self._run_lo, counter)
             return
-        self._counter[0] = counter
-        (tmpl, random), state, key = self._template(), self._state, self._key
-        lo, mask, scale = self._run_lo, self._MASK, 2.0**_PREFIX_BITS
-        stage = np.empty((min(_TILE, len(rows)), nb))
+        stage = np.empty((min(_TILE, len(rows)), nb), dtype=np.uint64)
         for j0 in range(0, len(rows), len(stage)):
             part = stage[:len(rows) - j0]
-            for j, row in enumerate(part, lo + j0):
-                key[1] = j & mask
-                tmpl.state = state
-                random(out=row)
-            part *= scale
+            for i, row in enumerate(part, j0):
+                row[...] = self.words(i, drawn, nb)
+            part >>= 64 - _PREFIX_BITS
             rows[j0:j0 + len(part)] = part
 
 
@@ -674,16 +660,15 @@ def _simulate_chunk(
     for p0 in range(head, n_max, _TAIL_BLOCK):
         nb = min(_TAIL_BLOCK, n_max - p0)
         cuts = [0] + [c - p0 for c in ends if p0 < c < p0 + nb] + [nb]
-        pieces.append((nb, [(bisect.bisect_left(ends, p0 + i1), i0, i1)
-                            for i0, i1 in zip(cuts, cuts[1:])]))
-    below = np.empty(pieces[0][0], dtype=bool)
+        pieces.append((p0, nb, [(bisect.bisect_left(ends, p0 + i1), i0, i1)
+                                for i0, i1 in zip(cuts, cuts[1:])]))
+    below = np.empty(pieces[0][1], dtype=bool)
     counts = np.empty((count, 2, len(ends)), dtype=np.int64)
     for j, (t1j, t2j) in enumerate(zip(t1.tolist(), t2.tolist())):
         c1, c2 = _word_cut(t1j), _word_cut(t2j)
         up, down = [0] * len(ends), [0] * len(ends)
-        streams.seek(j, head)
-        for nb, parts in pieces:
-            words = streams.raw(nb)
+        for p0, nb, parts in pieces:
+            words = streams.words(j, p0, nb)
             for s, i0, i1 in parts:
                 n1 = _count_below(words[i0:i1], c1, below)
                 up[s] += n1
@@ -723,23 +708,21 @@ def simulate_paths(
             for j in range(run_hi - run_lo)]
 
 
-def _ring_chunk(params: WalkParams, schedule: MemorySchedule, n_max: int,
-                chunk_size: int) -> int:
-    """chunk_size, cut so that a chunk's window ring takes no more bytes than
-    _TIME_BLOCK doubles for DEFAULT_CHUNK runs, 32 MiB: four times the time
-    block of 16-bit prefixes, the cap the ring had when blocks held doubles.
-    The ring holds w(n_max) + 1 slots of each run's counts: (rows, runs)
-    arrays in the count dtype, with a row of -1 steps only at r > 0."""
+def _ring_chunk(params: WalkParams, schedule: MemorySchedule, n_max: int) -> int:
+    """DEFAULT_CHUNK, cut so that a chunk's window ring takes at most
+    _RING_BYTES.  The ring holds w(n_max) + 1 slots of each run's counts:
+    (rows, runs) arrays in the count dtype, with a row of -1 steps only at
+    r > 0."""
     ring = ((schedule.split(n_max)[1] + 1) * (2 if params.r > 0.0 else 1)
             * _count_dtype(n_max).itemsize)
-    return max(1, min(chunk_size, _TIME_BLOCK * DEFAULT_CHUNK * 8 // ring))
+    return max(1, min(DEFAULT_CHUNK, _RING_BYTES // ring))
 
 
-def _chunk_bounds(runs: int, chunk_size: int, workers: int) -> list[int]:
-    """Cut [0, runs) into the fewest chunks of at most chunk_size runs whose
+def _chunk_bounds(runs: int, max_runs: int, workers: int) -> list[int]:
+    """Cut [0, runs) into the fewest chunks of at most max_runs runs whose
     count is a multiple of workers (or is runs), with sizes that differ by at
     most one; returns the chunk edges."""
-    chunks = -(-runs // chunk_size)
+    chunks = -(-runs // max_runs)
     chunks = min(runs, -(-chunks // workers) * workers)
     return [i * runs // chunks for i in range(chunks + 1)]
 
@@ -859,18 +842,16 @@ def run_ensemble(
     The calling process simulates too, so config.workers processes run in
     all: the caller and up to workers - 1 helpers.  The unit of work is a
     task of whole chunks, at most _TASKS_PER_WORKER per worker, and each
-    helper holds at most two tasks.  A chunk holds at most
-    config.chunk_size runs, and fewer where its window ring would outgrow
-    a default time block (_ring_chunk).  Chunks hand back S and N* in the
-    narrowest integer dtype that holds +-n_max; final_S and final_Nstar are
-    int64.  Output is bit-identical for a fixed master seed regardless of
-    the worker count: runs own their streams and are reassembled in run
-    order.
+    helper holds at most two tasks.  A chunk holds at most DEFAULT_CHUNK
+    runs, and fewer where its window ring would outgrow _RING_BYTES
+    (_ring_chunk).  Chunks hand back S and N* in the narrowest integer dtype
+    that holds +-n_max; final_S and final_Nstar are int64.  Output is
+    bit-identical for a fixed master seed regardless of the worker count:
+    runs own their streams and are reassembled in run order.
     """
     n_max = config.n_grid[-1]
     check_budget(config.runs, n_max, config.max_steps)
-    chunk_size = _ring_chunk(params, schedule, n_max, config.chunk_size)
-    bounds = _chunk_bounds(config.runs, chunk_size, config.workers)
+    bounds = _chunk_bounds(config.runs, _ring_chunk(params, schedule, n_max), config.workers)
     chunks = len(bounds) - 1
     count = min(chunks, _TASKS_PER_WORKER * config.workers)
     tasks = [

@@ -344,14 +344,9 @@ class ExactPmf:
         return es, es2, en
 
 
-def check_enumerable(
-    params: WalkParams,
-    n: int,
-    cap_binary: int = ENUM_CAP_BINARY,
-    cap_ternary: int = ENUM_CAP_TERNARY,
-) -> None:
+def check_enumerable(params: WalkParams, n: int) -> None:
     """Raise EnumerationCapError if horizon n is above the enumeration cap."""
-    cap = cap_ternary if params.delayed else cap_binary
+    cap = ENUM_CAP_TERNARY if params.delayed else ENUM_CAP_BINARY
     if n > cap:
         raise EnumerationCapError(
             f"horizon {n} above the enumeration cap {cap} for "
@@ -359,22 +354,16 @@ def check_enumerable(
         )
 
 
-def enumerate_pmf(
-    params: WalkParams,
-    schedule: MemorySchedule,
-    n: int,
-    cap_binary: int = ENUM_CAP_BINARY,
-    cap_ternary: int = ENUM_CAP_TERNARY,
-) -> ExactPmf:
+def enumerate_pmf(params: WalkParams, schedule: MemorySchedule, n: int) -> ExactPmf:
     """Exact joint pmf of (S_n, N*_n) by exhaustive path enumeration.
 
     Walks every step sequence of positive probability, multiplying one-step
     masses; masses per support point are accumulated with compensated sums.
-    Capped at cap_binary steps for r = 0 and cap_ternary for r > 0.
+    Capped at ENUM_CAP_BINARY steps for r = 0 and ENUM_CAP_TERNARY for r > 0.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    check_enumerable(params, n, cap_binary, cap_ternary)
+    check_enumerable(params, n)
     p, q, r = params.p, params.q, params.r
     acc: dict[tuple[int, int], list[float]] = {}  # (S, N*) -> [sum, compensation]
 

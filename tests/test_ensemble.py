@@ -72,7 +72,7 @@ def test_budget_refusal_mentions_estimate():
         run_ensemble(WalkParams(p=0.6), MemorySchedule.full(), cfg)
 
 
-def test_worker_count_does_not_change_output():
+def test_worker_count_does_not_change_output(monkeypatch):
     # first_fixed(100) freezes after a 100-step head, so the last checkpoint
     # puts a streamed tail of over _TIME_BLOCK steps behind it
     tail_n = 100 + ensemble._TIME_BLOCK + 50
@@ -90,7 +90,8 @@ def test_worker_count_does_not_change_output():
     for workers in (1, 2, 3, 8):
         assert min(np.diff(ensemble._chunk_bounds(3000, 512, workers))) >= ensemble._SHORT_RUNS
     for sched, runs, grid, chunk_size in cases:
-        base = dict(runs=runs, n_grid=grid, master_seed=99, chunk_size=chunk_size)
+        monkeypatch.setattr(ensemble, "DEFAULT_CHUNK", chunk_size)
+        base = dict(runs=runs, n_grid=grid, master_seed=99)
         s1 = run_ensemble(DELAYED, sched, EnsembleConfig(workers=1, **base))
         for workers in (2, 3, 8):
             sk = run_ensemble(DELAYED, sched, EnsembleConfig(workers=workers, **base))
@@ -169,7 +170,8 @@ def _chunk_calls(log) -> list[tuple[int, int]]:
 ])
 def test_caller_is_one_of_the_workers(monkeypatch, tmp_path, workers, runs):
     sched = MemorySchedule.last_fixed(5)
-    base = dict(runs=runs, n_grid=(30,), master_seed=4, chunk_size=50)
+    monkeypatch.setattr(ensemble, "DEFAULT_CHUNK", 50)
+    base = dict(runs=runs, n_grid=(30,), master_seed=4)
     alone = run_ensemble(DELAYED, sched, EnsembleConfig(workers=1, **base))
     log = _spy(monkeypatch, tmp_path)
     pooled = run_ensemble(DELAYED, sched, EnsembleConfig(workers=workers, **base))
@@ -195,8 +197,8 @@ def test_caller_is_one_of_the_workers(monkeypatch, tmp_path, workers, runs):
 @pytest.mark.parametrize("runs, workers", [(600, 1), (1, 4)])
 def test_no_pool_for_one_worker_or_one_chunk(monkeypatch, tmp_path, runs, workers):
     log = _spy(monkeypatch, tmp_path)
-    cfg = EnsembleConfig(runs=runs, n_grid=(30,), master_seed=4, workers=workers,
-                         chunk_size=100)
+    monkeypatch.setattr(ensemble, "DEFAULT_CHUNK", 100)
+    cfg = EnsembleConfig(runs=runs, n_grid=(30,), master_seed=4, workers=workers)
     run_ensemble(DELAYED, MemorySchedule.last_fixed(5), cfg)
     assert log.pools == []
     assert [lo for lo, _ in log.here] == ensemble._chunk_bounds(runs, 100, workers)[:-1]
@@ -222,7 +224,8 @@ def test_a_failing_chunk_propagates(monkeypatch, where, runs, chunk):
 
     # patched before run_ensemble forks its helpers, so they inherit it
     monkeypatch.setattr(ensemble, "_simulate_chunk", failing)
-    cfg = EnsembleConfig(runs=runs, n_grid=(30,), master_seed=4, workers=2, chunk_size=50)
+    monkeypatch.setattr(ensemble, "DEFAULT_CHUNK", 50)
+    cfg = EnsembleConfig(runs=runs, n_grid=(30,), master_seed=4, workers=2)
     with _deadline(60), pytest.raises(RuntimeError, match=f"failed in the {where}"):
         run_ensemble(DELAYED, MemorySchedule.last_fixed(5), cfg)
 
@@ -241,13 +244,12 @@ def test_chunks_are_even_and_shared_by_the_workers(runs, chunk_size, workers, si
     assert sorted(np.diff(bounds).tolist()) == sorted(sizes)
 
 
-def test_chunk_size_does_not_change_samples():
+def test_chunk_size_does_not_change_samples(monkeypatch):
     sched = MemorySchedule.last_fixed(5)
-    a = run_ensemble(DELAYED, sched,
-                     EnsembleConfig(runs=2000, n_grid=(200,), master_seed=3, chunk_size=4096))
+    a = run_ensemble(DELAYED, sched, EnsembleConfig(runs=2000, n_grid=(200,), master_seed=3))
+    monkeypatch.setattr(ensemble, "DEFAULT_CHUNK", 137)
     b = run_ensemble(DELAYED, sched,
-                     EnsembleConfig(runs=2000, n_grid=(200,), master_seed=3,
-                                    chunk_size=137, workers=2))
+                     EnsembleConfig(runs=2000, n_grid=(200,), master_seed=3, workers=2))
     assert np.array_equal(a.final_S, b.final_S)
     assert _csv(a) == _csv(b)
 
@@ -255,11 +257,12 @@ def test_chunk_size_does_not_change_samples():
 @pytest.mark.parametrize("n_max, dtype", [
     (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32),
 ])
-def test_chunks_hand_back_the_narrowest_dtype(n_max, dtype):
+def test_chunks_hand_back_the_narrowest_dtype(monkeypatch, n_max, dtype):
     # with r = 0 every step is nonzero, so N* = n_max in every run and a dtype
     # one size too narrow wraps; first_fixed(1) freezes at once, and with
     # p = 0.999 and full memory most runs end at S = +n_max
     cases = [(WalkParams(p=0.6), MemorySchedule.first_fixed(1))]
+    monkeypatch.setattr(ensemble, "DEFAULT_CHUNK", 3)
     if n_max < 256:
         cases.append((WalkParams(p=0.999, s=1.0), MemorySchedule.full()))
     for params, sched in cases:
@@ -267,7 +270,7 @@ def test_chunks_hand_back_the_narrowest_dtype(n_max, dtype):
         assert S.dtype == dtype and nstar.dtype == dtype
         assert (nstar == n_max).all()
         summary = run_ensemble(params, sched, EnsembleConfig(runs=8, n_grid=(n_max,),
-                                                             master_seed=5, chunk_size=3))
+                                                             master_seed=5))
         assert summary.final_S.dtype == np.int64 and summary.final_Nstar.dtype == np.int64
         assert np.array_equal(summary.final_S, S) and (summary.final_Nstar == n_max).all()
         if params.p > 0.99:
@@ -593,13 +596,14 @@ def test_frozen_rows_reuse_the_freeze_steps_thresholds(monkeypatch, r, m, time_b
 @pytest.mark.parametrize("r", [0.0, 0.3])
 def test_a_capped_window_ring_leaves_the_ensemble_unchanged(monkeypatch, r):
     # a window of 200 steps at n = 400 holds 201 slots of int16 counts per
-    # run and row; with 8-step time blocks a chunk's ring may take only
-    # 8 x 4096 doubles, 652 runs at r = 0 and 326 at r > 0
+    # run and row; with the ring capped at 256 KiB, and 8-step time blocks,
+    # a chunk holds 652 runs at r = 0 and 326 at r > 0
     schedule = MemorySchedule.last_increasing(GrowthRule(kind="power", c=0.5, beta=1.0))
     params = WalkParams(p=0.6, r=r)
     cfg = EnsembleConfig(runs=1500, n_grid=(37, 400), master_seed=9)
     uncapped = _csv(run_ensemble(params, schedule, cfg))
     monkeypatch.setattr(ensemble, "_TIME_BLOCK", 8)
+    monkeypatch.setattr(ensemble, "_RING_BYTES", 2**18)
     chunks, simulate = [], ensemble._simulate_chunk
 
     def counted(params, schedule, grid, seed, lo, hi):
@@ -609,21 +613,21 @@ def test_a_capped_window_ring_leaves_the_ensemble_unchanged(monkeypatch, r):
     monkeypatch.setattr(ensemble, "_simulate_chunk", counted)
     assert _csv(run_ensemble(params, schedule, cfg)) == uncapped
     cap = 652 if r == 0.0 else 326
-    assert ensemble._ring_chunk(params, schedule, 400, 4096) == cap
+    assert ensemble._ring_chunk(params, schedule, 400) == cap
     assert len(chunks) > 1 and max(chunks) <= cap
 
 
 def test_window_ring_of_a_linear_window_is_capped_up_front():
     # last_increasing(c = 0.5, beta = 1) at n = 10^5 keeps a 50001-slot ring
     # of int32 counts: one 4096-run chunk would need 820 MB, so chunks hold
-    # at most 167 runs, 32 MiB at most, the bytes of a default time block;
+    # at most 167 runs, 32 MiB at most, four default time blocks' bytes;
     # the trailing 10-step window keeps its chunk size
     schedule = MemorySchedule.last_increasing(GrowthRule(kind="power", c=0.5, beta=1.0))
-    size = ensemble._ring_chunk(WalkParams(p=0.6), schedule, 10**5, ensemble.DEFAULT_CHUNK)
+    size = ensemble._ring_chunk(WalkParams(p=0.6), schedule, 10**5)
     assert size <= 167
-    assert size * 50_001 * 4 <= ensemble._TIME_BLOCK * ensemble.DEFAULT_CHUNK * 8
-    assert ensemble._ring_chunk(WalkParams(p=0.6), MemorySchedule.last_fixed(10), 10**4,
-                                ensemble.DEFAULT_CHUNK) == ensemble.DEFAULT_CHUNK
+    assert size * 50_001 * 4 <= 32 * 2**20
+    assert ensemble._ring_chunk(WalkParams(p=0.6), MemorySchedule.last_fixed(10),
+                                10**4) == ensemble.DEFAULT_CHUNK
 
 
 # a fill never writes this into cells past its draws (a prefix could be
@@ -662,13 +666,11 @@ def test_chunk_streams_refuse_resume_inside_philox_block():
     streams.fill(out, 6)
     with pytest.raises(ValueError, match="multiple of 4"):
         streams.fill(out, 4)
-    streams.seek(1, 6)
     with pytest.raises(ValueError, match="multiple of 4"):
-        streams.raw(4)
-    streams.seek(1, 8)
-    streams.raw(7)
+        streams.words(1, 6, 4)
+    streams.words(1, 8, 7)
     with pytest.raises(ValueError, match="multiple of 4"):
-        streams.raw(4)
+        streams.words(1, 15, 4)
 
 
 @pytest.mark.parametrize("seed, run_lo", [
@@ -677,14 +679,13 @@ def test_chunk_streams_refuse_resume_inside_philox_block():
     (-7, 2**64 - 1),
 ])
 def test_chunk_streams_seek_one_run(seed, run_lo):
-    # after a fill of every run, seek serves one run's raw outputs from a
-    # later draw, piece after piece, across key wrap-around; fills are not
-    # moved and carry on every run's stream
+    # after a fill of every run, words serves one run's outputs from a later
+    # draw, piece after piece, across key wrap-around; fills are not moved
+    # and carry on every run's stream
     streams = _ChunkStreams(seed, run_lo)
     streams.fill(np.empty((3, 8), dtype=np.uint16), 8)
     for j in (2, 0, 1):
-        streams.seek(j, 12)
-        parts = [streams.raw(nb) for nb in (16, 4, 7)]
+        parts = [streams.words(j, drawn, nb) for drawn, nb in ((12, 16), (28, 4), (32, 7))]
         assert all(part.dtype == np.uint64 for part in parts)
         want = make_run_stream(seed, run_lo + j).bit_generator.random_raw(12 + 27)[12:]
         assert np.array_equal(np.concatenate(parts), want), j
@@ -693,6 +694,28 @@ def test_chunk_streams_seek_one_run(seed, run_lo):
     for j in range(3):
         want = _prefixes(make_run_stream(seed, run_lo + j).random(12)[8:])
         assert np.array_equal(out[j], want), j
+
+
+@pytest.mark.parametrize("path", ["template", "batched"])
+def test_words_out_of_order_between_fills_move_no_stream(monkeypatch, path):
+    # words holds no position: calls out of order, across runs and before,
+    # at and past the fills' draw, each give that run's own outputs, and the
+    # next fill, which draws through words on the template path, carries on
+    # every run's stream
+    monkeypatch.setattr(ensemble, "_SHORT_RUNS", 1 if path == "batched" else 10**9)
+    calls = _batched_fills(monkeypatch)
+    seed, run_lo = 2**63 + 12345, 2**64 - 2
+    streams = _ChunkStreams(seed, run_lo)
+    out = np.empty((3, 8), dtype=np.uint16)
+    streams.fill(out, 8)
+    raw = [make_run_stream(seed, run_lo + j).bit_generator.random_raw(64) for j in range(3)]
+    for j, drawn, nb in [(2, 40, 9), (0, 0, 4), (1, 8, 16), (2, 4, 3), (0, 52, 12)]:
+        assert np.array_equal(streams.words(j, drawn, nb), raw[j][drawn:drawn + nb]), (j, drawn)
+    streams.fill(out, 8)
+    for j in range(3):
+        want = _prefixes(make_run_stream(seed, run_lo + j).random(16)[8:])
+        assert np.array_equal(out[j], want), j
+    assert calls == ([(3, 8)] * 2 if path == "batched" else [])
 
 
 @st.composite
@@ -798,25 +821,24 @@ def test_batched_fill_refuses_resume_inside_philox_block(monkeypatch):
 
 def test_one_run_fills_are_never_batched(monkeypatch):
     # a single path is a chunk of one run, below _SHORT_RUNS; a run's frozen
-    # tail is never filled at all but drawn as raw outputs after a seek, one
-    # run at a time, in 7 pieces of 12 and one of 1, while the head's fill of
-    # the whole chunk is batched
+    # tail is never filled at all but drawn as output words from draw 12 on,
+    # one run at a time, in 7 pieces of 12 and one of 1, while the head's
+    # fill of the whole chunk is batched
     monkeypatch.setattr(ensemble, "_TIME_BLOCK", 16)
     monkeypatch.setattr(ensemble, "_TAIL_BLOCK", 12)
     calls = _batched_fills(monkeypatch)
     simulate_paths(WalkParams(p=0.7), MemorySchedule.first_increasing(), 40, (12, 40), 7, 3, 4)
     assert calls == []
     monkeypatch.setattr(ensemble, "_SHORT_RUNS", 1)
-    seeks, raws, fills = [], [], []
-    seek, raw, fill = _ChunkStreams.seek, _ChunkStreams.raw, _ChunkStreams.fill
-    monkeypatch.setattr(_ChunkStreams, "seek",
-                        lambda self, j, drawn: (seeks.append((j, drawn)), seek(self, j, drawn)))
-    monkeypatch.setattr(_ChunkStreams, "raw", lambda self, nb: (raws.append(nb), raw(self, nb))[1])
+    draws, fills = [], []
+    words, fill = _ChunkStreams.words, _ChunkStreams.fill
+    monkeypatch.setattr(_ChunkStreams, "words", lambda self, j, drawn, nb: (
+        draws.append((j, drawn, nb)), words(self, j, drawn, nb))[1])
     monkeypatch.setattr(_ChunkStreams, "fill",
                         lambda self, out, nb: (fills.append((len(out), nb)), fill(self, out, nb)))
     _simulate_chunk(WalkParams(p=0.7), MemorySchedule.first_fixed(9), (3, 12, 97), 7, 0, 4)
-    assert seeks == [(j, 12) for j in range(4)]
-    assert raws == ([12] * 7 + [1]) * 4
+    assert draws == [(j, drawn, nb) for j in range(4)
+                     for drawn, nb in zip(range(12, 97, 12), [12] * 7 + [1])]
     assert fills == calls == [(4, 12)]
 
 
@@ -832,8 +854,7 @@ def test_batched_fills_build_no_template():
     streams.fill(out, ensemble._SHORT_FILL + 4)
     template = streams._tmpl
     assert template is not None
-    streams.seek(0, 64)
-    streams.raw(4)
+    streams.words(0, 64, 4)
     assert streams._tmpl is template
     want = _prefixes(make_run_stream(5, ensemble._SHORT_RUNS - 1).random(68))
     assert np.array_equal(out[-1, :ensemble._SHORT_FILL + 4], want[32:])
@@ -898,8 +919,8 @@ def test_fill_into_a_time_major_block_matches_run_streams(monkeypatch, path, run
     # and 300 runs end inside one), and the batched path writes each Philox
     # word as row segments, here in slabs of 64 to 128 runs.  The last fill
     # is not a multiple of 4, and the keys of 63 runs or more wrap past
-    # 2^64 - 1.  A seek then serves one run's raw outputs and leaves the
-    # fills where they were: after 47 draws, which no fill may resume.
+    # 2^64 - 1.  words then serves one run's outputs and leaves the fills
+    # where they were: after 47 draws, which no fill may resume.
     monkeypatch.setattr(ensemble, "_SHORT_RUNS", 1 if path == "batched" else 10**9)
     monkeypatch.setattr(ensemble, "_SLAB_BYTES", _slab_bytes(64, ensemble._SHORT_FILL))
     calls = _batched_fills(monkeypatch)
@@ -919,8 +940,7 @@ def test_fill_into_a_time_major_block_matches_run_streams(monkeypatch, path, run
         assert np.array_equal(got[:, j], want), j
     assert calls == ([(runs, nb) for nb in sizes] if path == "batched" else [])
     for j in {0, runs // 2, runs - 1}:
-        streams.seek(j, 12)
-        words = np.concatenate([streams.raw(8), streams.raw(5)])
+        words = np.concatenate([streams.words(j, 12, 8), streams.words(j, 20, 5)])
         want = make_run_stream(seed, run_lo + j).bit_generator.random_raw(12 + 13)[12:]
         assert np.array_equal(words, want), j
     with pytest.raises(ValueError, match=f"after {drawn} draws"):

@@ -104,10 +104,6 @@ def test_enumeration_caps():
         enumerate_pmf(WalkParams(p=0.6), MemorySchedule.full(), 17)
     with pytest.raises(EnumerationCapError):
         enumerate_pmf(WalkParams(p=0.5, q=0.2, r=0.3), MemorySchedule.full(), 11)
-    # caps are configurable
-    pmf = enumerate_pmf(WalkParams(p=0.5, q=0.2, r=0.3), MemorySchedule.full(), 11,
-                        cap_ternary=11)
-    assert pmf.total_mass() == pytest.approx(1.0, abs=1e-12)
 
 
 def _binary_enumerate(p, s, schedule, n):
