@@ -18,7 +18,14 @@ offset into one array per checkpoint, in the narrowest signed integer dtype
 that holds -n_max..n_max (int8 up to n_max = 127); the reducer widens them
 to int64 in run order.  The pool is created, and concurrent.futures
 imported, only in _run_chunks when it starts helpers, so a run in one
-process never loads multiprocessing.
+process never loads multiprocessing.  numpy.random costs each process that
+imports it about 5 to 6 MB of RSS, some 3.4 MB of it OpenSSL's libcrypto,
+which numpy.random.bit_generator loads through secrets and hashlib.  So
+when the chunks will draw from the template Philox (see below), run_ensemble
+loads numpy.random before the helpers fork: they inherit it and fault in
+only the pages they run, where each would otherwise import it afresh at its
+first template draw.  Where every fill is batched and no frozen tail is
+streamed, no process loads it.
 
 Uniforms are drawn in time blocks of _TIME_BLOCK per run, a multiple of 4,
 into one time-major array (a row per step, a column per run), so each step
@@ -270,7 +277,8 @@ class _ChunkStreams:
     with its output buffer used up.  words(j, drawn, nb) writes that state
     into one shared template Philox and returns its next nb outputs; it
     holds no position of its own, and one that would resume mid-buffer is
-    refused.  The template is built at the first words call.
+    refused.  The template is built at the first words call, which imports
+    numpy.random unless run_ensemble loaded it before its helpers forked.
 
     Fills serve the runs of the chunk in step, from run_lo on, a time block
     at a time, as 16-bit prefixes of the uniforms.  uniform(j, drawn)
@@ -337,7 +345,7 @@ class _ChunkStreams:
         rows, drawn = out[:, :nb], self._drawn
         counter = self._resume_at(drawn)
         self._drawn += nb
-        if len(rows) >= _SHORT_RUNS and nb <= _SHORT_FILL:
+        if _batched(len(rows), nb):
             _philox_uniforms(rows, nb, self._key[0], self._run_lo, counter)
             return
         stage = np.empty((min(_TILE, len(rows)), nb), dtype=np.uint64)
@@ -347,6 +355,12 @@ class _ChunkStreams:
                 row[...] = self.words(i, drawn, nb)
             part >>= 64 - _PREFIX_BITS
             rows[j0:j0 + len(part)] = part
+
+
+def _batched(runs: int, nb: int) -> bool:
+    """Whether a fill of nb uniforms for `runs` runs is computed for every
+    run at once (_philox_uniforms) rather than drawn from the template."""
+    return runs >= _SHORT_RUNS and nb <= _SHORT_FILL
 
 
 def _word_cut(t: float) -> int:
@@ -490,6 +504,26 @@ def _count_dtype(n_max: int) -> np.dtype:
                 if np.iinfo(t).max >= n_max)
 
 
+def _head(schedule: MemorySchedule, n_max: int) -> tuple[int, int]:
+    """(k_freeze, head) of a walk of n_max steps under `schedule`.
+
+    Without a window M_n stops changing once b reaches b(n_max), so every
+    step after the freeze step k_freeze, the first to read that memory,
+    reuses the thresholds of step k_freeze; with one, k_freeze = n_max + 1.
+    Time blocks stop at the head, the steps before the freeze step rounded
+    up to whole Philox blocks, when a tail of _TIME_BLOCK steps or more is
+    left to be drawn and counted one run at a time; the head's few frozen
+    rows are stepped like the others.  Otherwise head = n_max.
+    """
+    b_max, win_max = schedule.split(n_max)
+    if win_max:
+        return n_max + 1, n_max
+    k_freeze = 2 + bisect.bisect_left(range(1, n_max), b_max,
+                                      key=lambda j: schedule.split(j)[0])
+    tail_from = -(-(k_freeze - 1) // 4) * 4
+    return k_freeze, tail_from if n_max - tail_from >= _TIME_BLOCK else n_max
+
+
 def _simulate_chunk(
     params: WalkParams,
     schedule: MemorySchedule,
@@ -595,22 +629,7 @@ def _simulate_chunk(
         for j in np.flatnonzero(tie).tolist():
             row[j] = (streams.uniform(j, k - 1) < exact(j)[side]) == (side == 0)
 
-    # Without a window M_n stops changing once b reaches b(n_max), so every
-    # step after the freeze step k_freeze, the first to read that memory,
-    # reuses the thresholds of step k_freeze.  Time blocks stop at the head,
-    # the steps before the freeze step rounded up to whole Philox blocks,
-    # when a tail of _TIME_BLOCK steps or more is left to be drawn and
-    # counted one run at a time; the head's few frozen rows are stepped like
-    # the others.
-    k_freeze = n_max + 1
-    head = n_max
-    if not win_max:
-        k_freeze = 2 + bisect.bisect_left(range(1, n_max), b_max,
-                                          key=lambda j: schedule.split(j)[0])
-        tail_from = -(-(k_freeze - 1) // 4) * 4
-        if n_max - tail_from >= _TIME_BLOCK:
-            head = tail_from
-
+    k_freeze, head = _head(schedule, n_max)
     uniforms = np.empty((min(_TIME_BLOCK, head), count), dtype=np.uint16)
     # a step's rows: whether it is +1 and, where it can be 0, whether it is -1
     step = np.empty((rows, count), dtype=bool)
@@ -859,6 +878,14 @@ def run_ensemble(
          bounds[i * chunks // count:(i + 1) * chunks // count + 1])
         for i in range(count)
     ]
+    # A chunk holds runs // chunks runs or one more, and its first fill is
+    # its longest, so the smallest chunk's first fill decides whether any
+    # fill draws from the template.  If one does, or a frozen tail is
+    # streamed, numpy.random is loaded here, before any helper forks (numpy
+    # 2 imports it at this first access).
+    head = _head(schedule, n_max)[1]
+    if head < n_max or not _batched(config.runs // chunks, min(_TIME_BLOCK, head)):
+        np.random
     results = _run_chunks(tasks, config.workers)
 
     zeros_stat = config.scaled_statistic == "m^r/n"
@@ -875,8 +902,10 @@ def run_ensemble(
         scaled = base.astype(np.float64) * factor
         mu = float(scaled.mean())
         var = float(scaled.var(ddof=1)) if scaled.size > 1 else 0.0
+        # squared in place, and dropped before _third_moment's arrays exist
         centered = scaled - mu
-        m2 = float((centered**2).mean())
+        m2 = float(np.square(centered, out=centered).mean())
+        del centered
         m3 = _third_moment(base, factor, mu)
         skew = m3 / m2**1.5 if m2 > 0.0 else 0.0
         degen = float((nstar == 0).mean())
@@ -886,7 +915,9 @@ def run_ensemble(
             nz_scaled = float("nan")
         stats.append(CheckpointStats(n, m, int(scaled.size), mu, var, skew, degen, nz_scaled))
         if n == n_max:
-            ecdf = np.sort(scaled)
+            # sorted in place: its mean and variance are already taken
+            scaled.sort()
+            ecdf = scaled
             final_S = S
             final_N = nstar
     return EnsembleSummary(params, schedule, config, stats, ecdf, final_S, final_N)

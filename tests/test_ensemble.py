@@ -895,6 +895,96 @@ def test_only_chunks_that_draw_from_the_template_load_numpy_random(p, schedule, 
     assert done.stdout.split("\n")[-2] == str(loaded)
 
 
+_MODULES_AT_FORK = """
+import concurrent.futures
+import os
+import sys
+import erwlab.cli
+from erwlab import EnsembleConfig, GrowthRule, MemorySchedule, WalkParams, ensemble, run_ensemble
+caller, task, start = os.getpid(), ensemble._chunk_task, concurrent.futures.ProcessPoolExecutor.__init__
+
+def watched(args):
+    before = set(sys.modules)
+    try:
+        return task(args)
+    finally:
+        if os.getpid() != caller:
+            print("helper imported", sorted(set(sys.modules) - before), flush=True)
+
+def starting(pool, *args, **kwargs):
+    print("at fork", "numpy.random" in sys.modules, flush=True)
+    start(pool, *args, **kwargs)
+
+concurrent.futures.ProcessPoolExecutor.__init__ = starting
+ensemble._chunk_task = watched
+ensemble._PREFIX_BITS = {bits}
+run_ensemble(WalkParams(p={p}), MemorySchedule.{schedule},
+             EnsembleConfig(runs={runs}, n_grid=({n},), workers=2))
+"""
+
+
+@pytest.mark.parametrize("p, schedule, n, runs, bits, loaded", [
+    # short-many's shape: two chunks of 300 runs, each one batched fill of 12
+    (0.7, "first_increasing(GrowthRule())", 12, 600, 16, False),
+    # the same with 4-bit prefixes, whose ties are settled without the template
+    (0.7, "first_increasing(GrowthRule())", 12, 600, 4, False),
+    # the same fills for chunks of 150 runs, below _SHORT_RUNS
+    (0.7, "first_increasing(GrowthRule())", 12, 300, 16, True),
+    # window-walk's: a 100-step fill, drawn from the template
+    (0.6, "last_fixed(10)", 100, 600, 16, True),
+    # frozen-clt's: a batched head of 8 draws, then a streamed frozen tail
+    (0.6, "first_fixed(5)", 1100, 600, 16, True),
+], ids=["short-many", "short-many-ties", "small-chunks", "window-walk", "frozen-clt"])
+def test_numpy_random_is_loaded_before_the_helpers_fork(p, schedule, n, runs, bits, loaded):
+    # in a fresh interpreter at workers = 2, the caller loads numpy.random
+    # before the pool starts exactly where a chunk draws from the template,
+    # so the helper inherits it and imports no module while it simulates
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = _MODULES_AT_FORK.format(p=p, schedule=schedule, n=n, runs=runs, bits=bits)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [f"at fork {loaded}", "helper imported []"]
+
+
+@pytest.mark.parametrize("schedule, n_max, k_freeze, head", [
+    # a memory that grows every step, or that has a window, never freezes
+    (MemorySchedule.full(), 23, 24, 23),
+    (MemorySchedule.full(), 24, 25, 24),
+    (MemorySchedule.first_plus_recent(m=5, recent=3), 23, 24, 23),
+    (MemorySchedule.first_plus_recent(m=5, recent=3), 24, 25, 24),
+    (MemorySchedule.last_fixed(4), 23, 24, 23),
+    (MemorySchedule.last_fixed(4), 24, 25, 24),
+    # first_fixed(5) freezes at step 6, and its head rounds steps 1..5 up
+    # to 8; a tail of _TIME_BLOCK = 16 steps or more is streamed
+    (MemorySchedule.first_fixed(5), 23, 6, 23),
+    (MemorySchedule.first_fixed(5), 24, 6, 8),
+    # floor(sqrt(n)) = 8 from n = 64 to 80, and floor(log n) = 4 from 55 to 148
+    (MemorySchedule.first_increasing(GrowthRule()), 79, 65, 79),
+    (MemorySchedule.first_increasing(GrowthRule()), 80, 65, 64),
+    (MemorySchedule.first_increasing(GrowthRule("log")), 71, 56, 71),
+    (MemorySchedule.first_increasing(GrowthRule("log")), 72, 56, 56),
+])
+def test_head_is_what_a_chunk_fills(monkeypatch, schedule, n_max, k_freeze, head):
+    # the chunk's fills draw `head` uniforms per run, and it streams a frozen
+    # tail, draws head..n_max - 1 of every run, exactly when head < n_max
+    monkeypatch.setattr(ensemble, "_TIME_BLOCK", 16)
+    assert ensemble._head(schedule, n_max) == (k_freeze, head)
+    fills, draws = [], []
+    words, fill = _ChunkStreams.words, _ChunkStreams.fill
+    monkeypatch.setattr(_ChunkStreams, "words", lambda self, j, drawn, nb: (
+        draws.append((j, drawn, nb)), words(self, j, drawn, nb))[1])
+    monkeypatch.setattr(_ChunkStreams, "fill",
+                        lambda self, out, nb: (fills.append(nb), fill(self, out, nb)))
+    _simulate_chunk(WalkParams(p=0.6, r=0.2), schedule, (n_max,), 5, 0, 3)
+    assert sum(fills) == head
+    tail = [(j, drawn, nb) for j, drawn, nb in draws if drawn >= head]
+    assert tail == ([(j, head, n_max - head) for j in range(3)] if head < n_max else [])
+
+
 def test_batched_fill_scratch_is_bounded():
     # 4096 runs are filled in slabs through eight reused buffers of at most
     # _SLAB_BYTES, however many draws each run takes, where the whole
