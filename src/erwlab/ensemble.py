@@ -10,15 +10,18 @@ With workers = k the calling process is one of the k processes that simulate
 chunks.  The pool's unit of work is the task: a contiguous range of whole
 chunks, at most 8k tasks in all (_TASKS_PER_WORKER), since a task per chunk
 pays the pool's queueing and pickling once per chunk, 124 times for 5 x 10^5
-runs of 12 steps.  The caller starts k - 1 helpers (fewer if there are fewer chunks), each holding
-up to two tasks from the front of the list, one running and one queued, and
-runs tasks from the back itself, the last pending one always among them.  A
-task simulates its chunks one by one and writes each chunk's S and N* at its
-offset into one array per checkpoint, in the narrowest signed integer dtype
-that holds -n_max..n_max (int8 up to n_max = 127); the reducer widens them
-to int64 in run order.  The pool is created, and concurrent.futures
-imported, only in _run_chunks when it starts helpers, so a run in one
-process never loads multiprocessing.  numpy.random costs each process that
+runs of 12 steps.  The caller starts k - 1 helpers (fewer if there are
+fewer tasks, and never more than one fewer than the CPUs this process may
+run on), each holding up to two tasks from the front of the list, one
+running and one queued, and runs tasks from the back itself, the last
+pending one always among them.  The tasks follow k alone, so the cap
+changes no byte.  A task simulates its chunks one by one and writes each
+chunk's S and N* at its offset into one array per checkpoint, in the
+narrowest signed integer dtype that holds -n_max..n_max (int8 up to
+n_max = 127); the reducer widens them to int64 in run order.  The pool is
+created, and concurrent.futures imported, only in _run_chunks when it
+starts helpers, so a run in one process never loads multiprocessing.
+numpy.random costs each process that
 imports it about 5 to 6 MB of RSS, some 3.4 MB of it OpenSSL's libcrypto,
 which numpy.random.bit_generator loads through secrets and hashlib.  So
 when the chunks will draw from the template Philox (see below), run_ensemble
@@ -119,6 +122,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TextIO
@@ -209,7 +213,9 @@ class EnsembleConfig:
     """Ensemble shape: independent runs, checkpoint grid, seed, statistic tag.
 
     workers counts the processes that simulate chunks, the caller included:
-    run_ensemble starts at most workers - 1 helper processes.
+    run_ensemble starts at most workers - 1 helper processes, and no more
+    than one fewer than the CPUs this process may run on.  The chunks follow
+    workers whatever the CPUs, so the output does not depend on them.
     """
 
     runs: int
@@ -761,15 +767,23 @@ def _chunk_task(args) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     return out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the machine's where that is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _run_chunks(tasks: list, workers: int) -> list[dict]:
     """Each task's result, in task order, from the caller and
-    min(workers, len(tasks)) - 1 helper processes.
+    min(workers, len(tasks), _usable_cpus()) - 1 helper processes.
 
     Helpers take tasks from the front, two each at most (one running, one
     queued), so none idles while the caller finishes a task; the caller
     takes them from the back and keeps the last pending one for itself.
     """
-    helpers = min(workers, len(tasks)) - 1
+    helpers = min(workers, len(tasks), _usable_cpus()) - 1
     if helpers < 1:
         return [_chunk_task(task) for task in tasks]
     # loaded here, so that a run without helpers never imports multiprocessing
@@ -859,7 +873,8 @@ def run_ensemble(
     """Run the configured ensemble and summarise the scaled statistic.
 
     The calling process simulates too, so config.workers processes run in
-    all: the caller and up to workers - 1 helpers.  The unit of work is a
+    all: the caller and up to workers - 1 helpers, capped at one fewer than
+    the CPUs this process may run on.  The unit of work is a
     task of whole chunks, at most _TASKS_PER_WORKER per worker, and each
     helper holds at most two tasks.  A chunk holds at most DEFAULT_CHUNK
     runs, and fewer where its window ring would outgrow _RING_BYTES

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TextIO
 
@@ -27,6 +26,7 @@ import numpy as np
 
 from .ensemble import (
     EnsembleConfig,
+    _usable_cpus,
     check_budget,
     ks_statistic,
     moment_convergence_table,
@@ -153,14 +153,6 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, or the machine's where that is unknown."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

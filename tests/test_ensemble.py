@@ -169,6 +169,9 @@ def _chunk_calls(log) -> list[tuple[int, int]]:
     pytest.param(3, 2000, id="3-many-chunks"),
 ])
 def test_caller_is_one_of_the_workers(monkeypatch, tmp_path, workers, runs):
+    # helpers are capped at the usable CPUs; four keeps every layout here
+    # whole on a smaller machine
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 4)
     sched = MemorySchedule.last_fixed(5)
     monkeypatch.setattr(ensemble, "DEFAULT_CHUNK", 50)
     base = dict(runs=runs, n_grid=(30,), master_seed=4)
@@ -204,6 +207,34 @@ def test_no_pool_for_one_worker_or_one_chunk(monkeypatch, tmp_path, runs, worker
     assert [lo for lo, _ in log.here] == ensemble._chunk_bounds(runs, 100, workers)[:-1]
 
 
+def test_helpers_are_capped_at_the_usable_cpus(monkeypatch):
+    # workers = 5000 cuts 100 runs into 100 one-run tasks, on three CPUs
+    # whatever the machine; the fake pool records the helpers asked for and
+    # runs each task inline, so no process starts whatever it is asked
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 3)
+    cfg = EnsembleConfig(runs=100, n_grid=(4,), master_seed=4, workers=5000)
+    run_ensemble(DELAYED, MemorySchedule.last_fixed(2), cfg)
+    assert asked == [2]
+
+
 @pytest.mark.parametrize("where, runs, chunk", [
     pytest.param("helper", 400, None, id="helper"),
     pytest.param("caller", 400, None, id="caller"),
@@ -222,8 +253,10 @@ def test_a_failing_chunk_propagates(monkeypatch, where, runs, chunk):
             raise RuntimeError(f"chunk [{lo}, {hi}) failed in the {where}")
         return simulate(params, schedule, grid, seed, lo, hi)
 
-    # patched before run_ensemble forks its helpers, so they inherit it
+    # patched before run_ensemble forks its helpers, so they inherit it; two
+    # CPUs, so that a helper starts on a smaller machine too
     monkeypatch.setattr(ensemble, "_simulate_chunk", failing)
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(ensemble, "DEFAULT_CHUNK", 50)
     cfg = EnsembleConfig(runs=runs, n_grid=(30,), master_seed=4, workers=2)
     with _deadline(60), pytest.raises(RuntimeError, match=f"failed in the {where}"):
@@ -917,6 +950,8 @@ def starting(pool, *args, **kwargs):
 
 concurrent.futures.ProcessPoolExecutor.__init__ = starting
 ensemble._chunk_task = watched
+# two CPUs, so that the helper starts on a smaller machine too
+ensemble._usable_cpus = lambda: 2
 ensemble._PREFIX_BITS = {bits}
 run_ensemble(WalkParams(p={p}), MemorySchedule.{schedule},
              EnsembleConfig(runs={runs}, n_grid=({n},), workers=2))
