@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .ensemble import BudgetError
+from .ensemble import DEFAULT_MAX_STEPS, BudgetError
 from .experiments import EXPERIMENTS, ExperimentReport, ExperimentSpec, run_experiment_by_name
 from .walk import GrowthRule, MemorySchedule, WalkParams
 
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="processes that simulate the ensemble, this one included "
                              "(at most the CPUs this process may run on)")
     parser.add_argument("--tolerance", type=float, help="override the main verdict tolerance")
-    parser.add_argument("--max-steps", type=int, dest="max_steps", default=5_000_000_000,
+    parser.add_argument("--max-steps", type=int, dest="max_steps", default=DEFAULT_MAX_STEPS,
                         help="ensemble step budget (refuse larger requests)")
     return parser
 

@@ -956,8 +956,8 @@ def ks_statistic(sample: np.ndarray, target: Callable[[float], float]) -> float:
     if n == 0:
         raise ValueError("empty sample")
     atoms = dict(target.atoms()) if hasattr(target, "atoms") else {}
-    pts = np.unique(np.concatenate([xs, np.fromiter(atoms.keys(), dtype=np.float64)])
-                    if atoms else xs)
+    pts = np.sort(np.concatenate([xs, np.fromiter(atoms, dtype=np.float64)])) if atoms else xs
+    pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]  # np.unique loads numpy.ma
     f_right = np.array([target(x) for x in pts])
     f_left = f_right - np.array([atoms.get(float(x), 0.0) for x in pts])
     ecdf_right = np.searchsorted(xs, pts, side="right") / n

@@ -25,6 +25,7 @@ from typing import Callable, Optional, TextIO
 import numpy as np
 
 from .ensemble import (
+    DEFAULT_MAX_STEPS,
     EnsembleConfig,
     _usable_cpus,
     check_budget,
@@ -91,7 +92,7 @@ class Verdict:
         else:
             kind = "rel" if self.mode == "rel" else "abs"
             detail = (f"measured={self.measured:.6g} target={self.target:.6g} "
-                      f"tol={self.tolerance:.3g} ({kind})")
+                      f"tol={self.tolerance:.6g} ({kind})")
         return f"{status} {self.label}: {detail}"
 
 
@@ -173,7 +174,7 @@ class ExperimentSpec:
     workers: int = 1
     tolerance: Optional[float] = None
     alpha: float = 0.0
-    max_steps: int = 5_000_000_000
+    max_steps: int = DEFAULT_MAX_STEPS
     fmt: str = "csv"
     out: Optional[str] = None
 

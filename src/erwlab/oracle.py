@@ -85,7 +85,6 @@ def log_gamma_ratio(a: float, b: float) -> float:
         raise ValueError(f"log_gamma_ratio needs positive arguments, got ({a}, {b})")
     if a == b:
         return 0.0
-    shift_logs = 0.0
     logs: list[float] = []
     while a < _STIRLING_MIN:
         logs.append(-math.log(a))
@@ -191,14 +190,14 @@ def exact_moments_increasing(
     idealised (see _delayed_moments_base and the module docstring), so
     first-plus-recent with r > 0 raises ValueError.
     """
-    if not schedule.is_first_block and schedule.variant != "full":
+    if schedule.is_last_window:
         raise ValueError("two-epoch moments require a first-block or full schedule")
     if n < 1:
         raise ValueError("need n >= 1")
     m = schedule.block_size(n)
     a = params.drift
     w = params.p + params.q
-    if schedule.variant == "first-plus-recent":
+    if schedule.recent:
         if params.delayed:
             raise ValueError(
                 "exact first-plus-recent moments need r = 0: the delayed block "
@@ -293,7 +292,7 @@ def growing_mean_profile(
     finite-n difference exactly (for first-block schedules without the
     recent-step augment).
     """
-    if not (schedule.is_first_block and schedule.variant != "first-plus-recent"):
+    if schedule.recent or not schedule.is_first_block:
         raise ValueError("growing profile supports plain first-block schedules")
     grid = sorted(set(int(x) for x in n_grid))
     if not grid or grid[0] < 1:
@@ -357,55 +356,54 @@ def check_enumerable(params: WalkParams, n: int) -> None:
 def enumerate_pmf(params: WalkParams, schedule: MemorySchedule, n: int) -> ExactPmf:
     """Exact joint pmf of (S_n, N*_n) by exhaustive path enumeration.
 
-    Walks every step sequence of positive probability, multiplying one-step
-    masses; masses per support point are accumulated with compensated sums.
-    Capped at ENUM_CAP_BINARY steps for r = 0 and ENUM_CAP_TERNARY for r > 0.
+    Depth first over every step sequence of positive probability, the path
+    held as prefix sums csum[i] = X_1 + .. + X_i and cnz[i] = N*_i.  Each
+    depth reads M_k once through split(k): with lo = max(b, k - w) it holds
+    b + k - lo steps of sum csum[b] + csum[k] - csum[lo].  The visit order
+    fixes the bits: children -1, 0, +1, a path's mass the product of its
+    one-step masses in step order, each support point's mass a Kahan sum in
+    visit order.  Capped at ENUM_CAP_BINARY (r = 0) or ENUM_CAP_TERNARY steps.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     check_enumerable(params, n)
-    p, q, r = params.p, params.q, params.r
+    p, q = params.p, params.q
     acc: dict[tuple[int, int], list[float]] = {}  # (S, N*) -> [sum, compensation]
-
-    def add_mass(key: tuple[int, int], value: float) -> None:
-        slot = acc.setdefault(key, [0.0, 0.0])
-        # Kahan update
-        y = value - slot[1]
-        t = slot[0] + y
-        slot[1] = (t - slot[0]) - y
-        slot[0] = t
-
-    first_t1, first_t2 = params.first_step_thresholds()
-    p_first = {1: first_t1, 0: first_t2 - first_t1, -1: 1.0 - first_t2}
-
-    # iterative DFS over (steps tuple, probability)
-    stack: list[tuple[tuple[int, ...], float]] = []
-    for x, px in p_first.items():
-        if px > 0.0:
-            stack.append(((x,), px))
-    while stack:
-        steps, prob = stack.pop()
-        k = len(steps)
-        if k == n:
-            add_mass((sum(steps), sum(1 for v in steps if v != 0)), prob)
-            continue
+    views = [(0, 0, 0)]  # (b, lo, size) of M_k at index k; M_0 is never read
+    for k in range(1, n):
         b, w = schedule.split(k)
-        mem = steps[:b] + steps[max(b, k - w):]
-        size = len(mem)
-        sm = sum(mem)
-        nz = sum(1 for v in mem if v != 0)
+        lo = max(b, k - w)
+        views.append((b, lo, b + k - lo))
+    csum, cnz = [0] * (n + 1), [0] * (n + 1)
+    t1, t2 = params.first_step_thresholds()
+    # (depth, step, mass), pushed +1, 0, -1 so that -1 pops first; below a
+    # popped node's depth, csum and cnz hold its ancestors
+    stack = [(1, x, px) for x, px in ((1, t1), (0, t2 - t1), (-1, 1.0 - t2)) if px > 0.0]
+    while stack:
+        k, x, prob = stack.pop()
+        s = csum[k] = csum[k - 1] + x
+        z = cnz[k] = cnz[k - 1] + (x != 0)
+        if k == n:
+            slot = acc.setdefault((s, z), [0.0, 0.0])
+            y = prob - slot[1]
+            t = slot[0] + y
+            slot[1] = (t - slot[0]) - y
+            slot[0] = t
+            continue
+        b, lo, size = views[k]
+        sm = csum[b] + s - csum[lo]
+        nz = cnz[b] + z - cnz[lo]
         n_plus = (nz + sm) / 2.0
         n_minus = (nz - sm) / 2.0
         p_plus = (p * n_plus + q * n_minus) / size
         p_minus = (q * n_plus + p * n_minus) / size
         p_zero = 1.0 - p_plus - p_minus
         if p_plus > 0.0:
-            stack.append((steps + (1,), prob * p_plus))
+            stack.append((k + 1, 1, prob * p_plus))
         if p_zero > 1e-15:
-            stack.append((steps + (0,), prob * p_zero))
+            stack.append((k + 1, 0, prob * p_zero))
         if p_minus > 0.0:
-            stack.append((steps + (-1,), prob * p_minus))
-
-    support = tuple(sorted(acc.keys()))
+            stack.append((k + 1, -1, prob * p_minus))
+    support = tuple(sorted(acc))
     mass = tuple(acc[k][0] for k in support)
     return ExactPmf(n=n, support=support, mass=mass, params=params, schedule=schedule)

@@ -1165,6 +1165,30 @@ def test_ks_good_mixture_sample_is_small():
     assert ks_statistic(comp, target) < 1.63 / math.sqrt(n) + 0.01
 
 
+_MODULES_AFTER_KS = """
+import sys
+import numpy as np
+import erwlab.cli
+from erwlab import LimitCdf, ks_statistic
+sample = np.round(3.0 * np.sin(np.arange(20_000.0)), 2)  # ties and zeros
+ks_statistic(sample, LimitCdf(1.0, 4.5, 0.0))
+ks_statistic(sample, LimitCdf(0.7, 4.5, 0.3))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_ks_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call; a clt-check-sized KS,
+    # with and without an atom, in a fresh interpreter must not load it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _MODULES_AFTER_KS],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[-2] == "False"
+
+
 def test_kolmogorov_quantile_table_values():
     assert kolmogorov_quantile(0.99) == pytest.approx(1.6276, abs=2e-3)
     assert kolmogorov_quantile(0.95) == pytest.approx(1.3581, abs=2e-3)

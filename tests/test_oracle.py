@@ -1,5 +1,6 @@
 """Exact enumeration, closed-form moments, and the log-gamma ratio."""
 
+import hashlib
 import math
 
 import mpmath
@@ -97,6 +98,23 @@ def test_enumeration_mass_and_support(params, schedule):
         if not params.delayed:
             assert nstar == n
             assert (s - n) % 2 == 0
+
+
+# sha256 of "S N* mass.hex()" lines over the support, in support order
+@pytest.mark.parametrize("params, schedule, n, sha256", [
+    (WalkParams(p=0.7), MemorySchedule.first_increasing(), 12,
+     "e31ea5c27b353d1fbe75c3bece2739cbb787f8c40ca5560c562a2194976ce82b"),
+    (WalkParams(p=0.6), MemorySchedule.last_fixed(3), 12,
+     "7e518ed32aae587ffd7e3f848e8525441b0ebbe5d4e0a0aa91cd0090b740a8c3"),
+    (WalkParams(p=0.5, q=0.2, r=0.3), MemorySchedule.first_fixed(3), 9,
+     "d944723dced5fabf8e31db7d8e9035347e75eeeedc51d345f5aa59b11b57374b"),
+    (WalkParams(p=0.6, q=0.1, r=0.3), MemorySchedule.first_plus_recent(m=2, recent=2), 9,
+     "17275c5c46ee187c909b237cf3be577119881d800e519c1d8fa0dc87301e7fa1"),
+], ids=["short-many", "last-fixed", "delayed-first-fixed", "delayed-first-plus-recent"])
+def test_enumeration_reproduces_its_pinned_bits(params, schedule, n, sha256):
+    pmf = enumerate_pmf(params, schedule, n)
+    lines = "".join(f"{s} {nz} {m.hex()}\n" for (s, nz), m in zip(pmf.support, pmf.mass))
+    assert hashlib.sha256(lines.encode()).hexdigest() == sha256
 
 
 def test_enumeration_caps():

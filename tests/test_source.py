@@ -82,3 +82,15 @@ def test_every_public_method_of_an_exported_class_is_used():
               if not attr.startswith("_") and attr not in used
               and isinstance(value, (FunctionType, classmethod, staticmethod, property))]
     assert unused == []
+
+
+def test_the_oracle_names_no_schedule_variant():
+    # the oracle reads M_n through the schedule's structure (split,
+    # is_first_block, is_last_window, recent), so it neither reads
+    # .variant nor spells out a variant's name
+    tree = ast.parse((Path(erwlab.__file__).parent / "oracle.py").read_text())
+    names = set(erwlab.MemorySchedule._READS)
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "variant"
+             or isinstance(node, ast.Constant) and node.value in names]
+    assert found == []

@@ -37,7 +37,7 @@ _DELAYED_PINS = [
     ("zeros --schedule first-fixed --m 50 --p 0.5 --r 0.3 --n 3000 --runs 2000", 0,
      "84a5c477c5a2d1db12833db1e6fb6b275d532f863ce89949028035dfa0d90212"),
     ("delayed --schedule first-increasing --p 0.5 --r 0.3 --n 2000 --runs 1000", 1,
-     "e24ae4a113736bb4805d186b4c38945af11cb429cf6b1d4e26eeb03c27627a47"),
+     "bc904c254caf3af1a75ad75f93268bf0ac2215dc79387ce3acb9608e654edfa0"),
     ("recent-augmented --schedule first-plus-recent --m 20 --k 5 --p 0.5 --r 0.3 "
      "--n 2000 --runs 1000", 1,
      "93f99cde6b9eed4da4e08c77b5193cac09873f23957971da6c3d389579f7980e"),
